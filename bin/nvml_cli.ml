@@ -14,6 +14,7 @@ module Cpu = Nvml_arch.Cpu
 module Config = Nvml_arch.Config
 module Runtime = Nvml_runtime.Runtime
 module Harness = Nvml_kvstore.Harness
+module Driver = Nvml_kvstore.Driver
 module Workload = Nvml_ycsb.Workload
 module Iris = Nvml_mlkit.Iris
 module Knn = Nvml_mlkit.Knn
@@ -114,6 +115,11 @@ let jobs_arg =
            results match --jobs 1 exactly.")
 
 let resolve_jobs n = if n >= 1 then n else Pool.default_jobs ()
+
+(* Run [f] on a domain pool of [--jobs] workers, shut down afterwards. *)
+let with_pool jobs f =
+  let pool = Pool.create ~jobs:(resolve_jobs jobs) () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
 let cores_arg =
   Arg.(
@@ -243,7 +249,14 @@ let dist_arg =
     & opt dist_conv Workload.Latest
     & info [ "distribution"; "d" ] ~doc:"Key distribution.")
 
+(* A KV workload needs at least one record and a non-negative op count. *)
+let check_kv_counts ~records ~ops =
+  let bad flag range v = Fmt.epr "%s must be %s, got %d@." flag range v; exit 1 in
+  if records < 1 then bad "--records" ">= 1" records;
+  if ops < 0 then bad "--ops" ">= 0" ops
+
 let spec_of ~records ~ops ~dist =
+  check_kv_counts ~records ~ops;
   {
     Workload.paper_default with
     Workload.record_count = records;
@@ -347,8 +360,9 @@ let kv_cmd =
     let reject fmt = Fmt.kstr (fun m -> Fmt.epr "%s@." m; exit 1) fmt in
     if shards < 1 then reject "--shards must be >= 1, got %d" shards;
     if batch < 1 then reject "--batch must be >= 1, got %d" batch;
-    if front_cache < 0 then
-      reject "--front-cache must be >= 0, got %d" front_cache;
+    if front_cache < 0 || (front_cache > 0 && front_cache < shards) then
+      reject "--front-cache must be 0 or >= --shards (%d), got %d" shards
+        front_cache;
     if cores < 1 then reject "--cores must be >= 1, got %d" cores;
     let spec = spec_of ~records ~ops ~dist in
     (* With [--stats]/[--trace], record the run in a fresh telemetry
@@ -435,37 +449,24 @@ let kv_cmd =
       in
       let rt = Runtime.create ~mode ~timing:(not fast) ~persist () in
       let cluster = Cluster.create ~cores rt in
-      let region i =
-        if mode = Runtime.Volatile then Runtime.Dram_region
-        else
-          Runtime.Pool_region
-            (Runtime.create_pool rt
-               ~name:(Printf.sprintf "kv%d" i)
-               ~size:(1 lsl 26))
+      let regions =
+        Array.init cores (fun i ->
+            Driver.region rt mode ~pool:(Printf.sprintf "kv%d" i))
       in
-      let regions = Array.init cores region in
+      let stream = Driver.stream spec in
       let body core =
         let crt = Cluster.rt cluster core in
         let m = M.create crt regions.(core) in
         for i = 0 to records - 1 do
           M.insert m ~key:(Workload.key_of_index i) ~value:(Int64.of_int i)
         done;
-        Workload.iter_ops spec (fun op ->
-            (match op with
-            | Workload.Read k -> ignore (M.find m k)
-            | Workload.Update (k, v) | Workload.Insert (k, v) ->
-                M.insert m ~key:k ~value:v
-            | Workload.Scan (start, len) ->
-                for j = start to start + len - 1 do
-                  ignore (M.find m (Workload.key_of_index j))
-                done
-            | Workload.Rmw (k, d) ->
-                let v = match M.find m k with Some v -> v | None -> 0L in
-                M.insert m ~key:k ~value:(Int64.add v d));
-            (* Per-core epoch boundary: each core's op count drives its
-               own epoch clock; the drains serialize through the shared
-               persist engine. *)
-            Runtime.persist_op_boundary crt)
+        for j = 0 to Driver.length stream - 1 do
+          Driver.apply_at (module M) m stream j;
+          (* Per-core epoch boundary: each core's op count drives its
+             own epoch clock; the drains serialize through the shared
+             persist engine. *)
+          Runtime.persist_op_boundary crt
+        done
       in
       Cluster.run cluster (Array.init cores (fun _ -> body));
       Runtime.persist_sync rt;
@@ -500,15 +501,8 @@ let kv_cmd =
         Serving.default_config ~structure ~mode ~shards ~batch ~front_cache
           spec
       in
-      let jobs = resolve_jobs jobs in
       let report =
-        if jobs <= 1 then Serving.run config
-        else begin
-          let pool = Pool.create ~jobs () in
-          Fun.protect
-            ~finally:(fun () -> Pool.shutdown pool)
-            (fun () -> Serving.run ~par:(Pool.run pool) config)
-        end
+        with_pool jobs (fun pool -> Serving.run ~par:(Pool.run pool) config)
       in
       print_serving report;
       if latency then print_latency report.Serving.oplat;
@@ -524,11 +518,8 @@ let kv_cmd =
       let modes =
         [ Runtime.Volatile; Runtime.Explicit; Runtime.Sw; Runtime.Hw ]
       in
-      let pool = Pool.create ~jobs:(resolve_jobs jobs) () in
       let results =
-        Fun.protect
-          ~finally:(fun () -> Pool.shutdown pool)
-          (fun () ->
+        with_pool jobs (fun pool ->
             Pool.map pool
               (fun mode -> Harness.run_benchmark structure ~mode ~persist spec)
               modes)
@@ -543,10 +534,11 @@ let kv_cmd =
       List.iter
         (fun (r : Harness.result) ->
           let s = r.Harness.run in
-          Fmt.pr "%-10s %14d %8.2fx %12d %10d@."
+          Fmt.pr "%-10s %14d %9s %12d %10d@."
             (Runtime.mode_name r.Harness.mode)
             s.Cpu.cycles
-            (float_of_int s.Cpu.cycles /. base)
+            (if base = 0. then "n/a"
+             else Fmt.str "%.2fx" (float_of_int s.Cpu.cycles /. base))
             s.Cpu.nvm_accesses r.Harness.checks.Harness.dynamic_checks)
         results;
       if latency then begin
@@ -586,11 +578,9 @@ let stats_cmd =
   in
   let run structure records ops dist output jobs =
     let spec = spec_of ~records ~ops ~dist in
-    let pool = Pool.create ~jobs:(resolve_jobs jobs) () in
     let p =
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () -> Profile.run ~par:(Pool.run pool) ~benchmark:structure spec)
+      with_pool jobs (fun pool ->
+          Profile.run ~par:(Pool.run pool) ~benchmark:structure spec)
     in
     Fmt.pr "telemetry profile: %s (SW and HW cells)@." structure;
     List.iter
@@ -681,11 +671,8 @@ let soundness_cmd =
           (name, mode, persistent, run_in mode persistent = reference))
         configs
     in
-    let pool = Pool.create ~jobs:(resolve_jobs jobs) () in
     let rows =
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () -> List.concat (Pool.map pool check Corpus.all))
+      with_pool jobs (fun pool -> List.concat (Pool.map pool check Corpus.all))
     in
     let failures = List.length (List.filter (fun (_, _, _, ok) -> not ok) rows) in
     List.iter
@@ -962,11 +949,8 @@ let faultinject_cmd =
           conc_max_points = max_points;
         }
       in
-      let pool = Pool.create ~jobs:(resolve_jobs jobs) () in
       let report =
-        Fun.protect
-          ~finally:(fun () -> Pool.shutdown pool)
-          (fun () ->
+        with_pool jobs (fun pool ->
             checked (fun () ->
                 Faultinject.run_conc ~par:(Pool.run pool) ~mode ~persist ~spec
                   ~timing ()))
@@ -978,7 +962,9 @@ let faultinject_cmd =
     let w =
       match String.lowercase_ascii workload with
       | "counter" -> Faultinject.counter_workload ~ops ()
-      | "kv" -> Faultinject.kv_workload ~structure ~records ~ops ()
+      | "kv" ->
+          check_kv_counts ~records ~ops;
+          Faultinject.kv_workload ~structure ~records ~ops ()
       | other ->
           Fmt.epr "--workload expects kv, counter or conc, got %S@." other;
           exit 2
@@ -993,11 +979,8 @@ let faultinject_cmd =
         break_recovery;
       }
     in
-    let pool = Pool.create ~jobs:(resolve_jobs jobs) () in
     let report =
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () ->
+      with_pool jobs (fun pool ->
           checked (fun () ->
               Faultinject.run ~par:(Pool.run pool) ~mode ~persist ~spec ~timing
                 w))
@@ -1109,11 +1092,8 @@ let fuzz_cmd =
                   exit 1);
               r)
     in
-    let pool = Pool.create ~jobs:(resolve_jobs jobs) () in
     let reports =
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () ->
+      with_pool jobs (fun pool ->
           instrumented @@ fun () ->
           List.init seeds (fun i ->
               match
@@ -1290,11 +1270,8 @@ let scrub_cmd =
                   exit 1);
               r)
     in
-    let pool = Pool.create ~jobs:(resolve_jobs jobs) () in
     let cells =
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () ->
+      with_pool jobs (fun pool ->
           instrumented @@ fun () ->
           Pool.run pool
             (List.init seeds (fun i () ->

@@ -72,6 +72,7 @@ module Intf = Nvml_structures.Intf
 module Registry = Nvml_structures.Registry
 module Snapshot = Nvml_structures.Snapshot
 module Workload = Nvml_ycsb.Workload
+module Driver = Nvml_kvstore.Driver
 module Telemetry = Nvml_telemetry.Telemetry
 
 let site = Site.make ~static:true "faultinject"
@@ -160,11 +161,7 @@ let kv_workload ?(structure = "RB") ?(records = 30) ?(ops = 100) ?(seed = 42)
       seed;
     }
   in
-  let op_arr =
-    let acc = ref [] in
-    Workload.iter_ops spec (fun op -> acc := op :: !acc);
-    Array.of_list (List.rev !acc)
-  in
+  let ops = Driver.stream spec in
   let instance m =
     {
       header = M.header m;
@@ -172,27 +169,14 @@ let kv_workload ?(structure = "RB") ?(records = 30) ?(ops = 100) ?(seed = 42)
         (fun i ->
           if i mod 7 = 3 then
             ignore (M.remove m (Workload.key_of_index (i * 3 mod records)))
-          else
-            match op_arr.(i) with
-            | Workload.Read k -> ignore (M.find m k)
-            | Workload.Update (k, v) | Workload.Insert (k, v) ->
-                M.insert m ~key:k ~value:v
-            | Workload.Scan (start, len) ->
-                for j = start to start + len - 1 do
-                  ignore (M.find m (Workload.key_of_index j))
-                done
-            | Workload.Rmw (k, d) ->
-                let v =
-                  match M.find m k with Some v -> v | None -> 0L
-                in
-                M.insert m ~key:k ~value:(Int64.add v d));
+          else Driver.apply_at (module M) m ops i);
       snapshot = (fun () -> Snapshot.capture (fun f -> M.iter m f));
       check = (fun () -> M.check_invariants m);
     }
   in
   {
     name = "kv-" ^ M.name;
-    ops = Array.length op_arr;
+    ops = Driver.length ops;
     setup =
       (fun rt ~pool ->
         let m = M.create rt (Runtime.Pool_region pool) in

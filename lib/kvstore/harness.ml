@@ -1,53 +1,22 @@
-(* The key-value store harness of Section VII-A, in the mold of the
-   PMDK mapcli example: a driver that maps 8-byte keys to 8-byte values
-   through a pluggable index structure, loads an initial population and
-   then replays a YCSB operation stream, measuring the run phase in the
-   timing model.
+(* The key-value store harness of Section VII-A: a mapcli-style driver
+   that loads an initial population into one index structure, then
+   replays a YCSB operation stream, measuring the run phase in the
+   timing model.  The op loop is the one-shard, batch-1, cache-off cell
+   of [Driver]. *)
 
-   The driver itself is ordinary volatile application code: its key
-   buffer lives in simulated DRAM and is read on every operation, so
-   volatile accesses interleave with the library's persistent accesses
-   exactly as in a real run. *)
-
-module Layout = Nvml_simmem.Layout
-module Mem = Nvml_simmem.Mem
-module Ptr = Nvml_core.Ptr
-module Xlate = Nvml_core.Xlate
 module Cpu = Nvml_arch.Cpu
 module Runtime = Nvml_runtime.Runtime
-module Site = Nvml_runtime.Site
 module Intf = Nvml_structures.Intf
 module Linked_list = Nvml_structures.Linked_list
 module Workload = Nvml_ycsb.Workload
-module Telemetry = Nvml_telemetry.Telemetry
 module Oplat = Nvml_runtime.Oplat
 
-(* Harness sites: the driver is compiled with the application, where
-   inference sees the allocation sites — static. *)
-let s_driver = Site.make ~static:true "harness.driver"
-
-type counter_delta = {
+type counter_delta = Driver.counter_delta = {
   dynamic_checks : int;
   abs_to_rel : int; (* va2ra conversions *)
   rel_to_abs : int; (* ra2va conversions *)
   volatile_escapes : int;
 }
-
-let counter_diff (after : Xlate.counters) (before : Xlate.counters) =
-  {
-    dynamic_checks = after.Xlate.dynamic_checks - before.Xlate.dynamic_checks;
-    abs_to_rel = after.Xlate.va2ra - before.Xlate.va2ra;
-    rel_to_abs = after.Xlate.ra2va - before.Xlate.ra2va;
-    volatile_escapes = after.Xlate.volatile_escapes - before.Xlate.volatile_escapes;
-  }
-
-let copy_counters (c : Xlate.counters) =
-  {
-    Xlate.ra2va = c.Xlate.ra2va;
-    va2ra = c.Xlate.va2ra;
-    dynamic_checks = c.Xlate.dynamic_checks;
-    volatile_escapes = c.Xlate.volatile_escapes;
-  }
 
 type persist_tally = {
   model : Nvml_runtime.Persist.model;
@@ -81,122 +50,35 @@ let persist_tally rt =
     buffered = P.stores_buffered p;
   }
 
-let pool_size = 1 lsl 26 (* frames are lazily backed, so a roomy pool is free *)
+let finish rt ~benchmark ~mode (p : Driver.phases) ~hits ~misses oplat =
+  Runtime.publish_stats rt;
+  {
+    benchmark;
+    mode;
+    load = p.load;
+    run = p.run;
+    attr = p.attr;
+    checks = p.checks;
+    hits;
+    misses;
+    oplat;
+    persist = persist_tally rt;
+  }
 
-let region_for rt mode =
-  match mode with
-  | Runtime.Volatile -> Runtime.Dram_region
-  | _ -> Runtime.Pool_region (Runtime.create_pool rt ~name:"kv" ~size:pool_size)
+let pool_size = Driver.pool_size
 
-(* Run one YCSB spec against one index structure in one mode.  Under a
-   relaxed persistency model every run-phase operation is an epoch
-   boundary candidate ([Runtime.persist_op_boundary]) and the run ends
-   with a full drain, so the measured cycles include the model's
-   flush+fence µ-events — durability is weakened, never dropped. *)
 let run_map (module M : Intf.ORDERED_MAP) ~mode ?(cfg = Nvml_arch.Config.default)
     ?(persist = Nvml_runtime.Persist.Eager) (spec : Workload.spec) : result =
   let rt = Runtime.create ~cfg ~mode ~persist () in
-  let region = region_for rt mode in
-  let m = M.create rt region in
-  (* Pre-generate the op stream and stage the keys in a DRAM buffer the
-     driver reads back during the run. *)
-  let ops = ref [] in
-  Workload.iter_ops spec (fun op -> ops := op :: !ops);
-  let ops = Array.of_list (List.rev !ops) in
-  let key_buf =
-    Mem.map_fresh (Runtime.mem rt) Layout.Dram (Array.length ops * 8)
+  let m = M.create rt (Driver.region rt mode ~pool:"kv") in
+  let loads, ops = Driver.partition ~shards:1 spec in
+  let c =
+    Driver.run_cell Driver.harness_shell (module M) rt m
+      ~cell:(M.name ^ "/" ^ Runtime.mode_name mode)
+      ~batch:1 ~cache:0 ~loads:loads.(0) ~ops:ops.(0)
   in
-  Array.iteri
-    (fun i op ->
-      let key =
-        match op with
-        | Workload.Read k
-        | Workload.Update (k, _)
-        | Workload.Insert (k, _)
-        | Workload.Rmw (k, _) ->
-            k
-        | Workload.Scan (start, _) -> Workload.key_of_index start
-      in
-      Mem.write_word (Runtime.mem rt) (Int64.add key_buf (Int64.of_int (i * 8))) key)
-    ops;
-  (* Load phase. *)
-  Telemetry.span "harness.load" ~args:[ ("records", spec.Workload.record_count) ]
-    (fun () ->
-      for i = 0 to spec.Workload.record_count - 1 do
-        M.insert m ~key:(Workload.key_of_index i) ~value:(Int64.of_int i)
-      done);
-  (* Close the load phase's epoch before the phase boundary, so the
-     load's (large, one-off) drain bills into the load phase and the
-     measured run phase carries only its own drain traffic. *)
-  Runtime.persist_sync rt;
-  let load = Runtime.snapshot rt in
-  let a0 = Cpu.attribution (Runtime.cpu rt) in
-  let c0 = copy_counters (Runtime.counters rt) in
-  (* Run phase: every op is bracketed with cycle stamps so its latency
-     and attribution land in the per-cell recorder. *)
-  let cpu = Runtime.cpu rt in
-  let ol =
-    Oplat.create ~cell:(M.name ^ "/" ^ Runtime.mode_name mode) ()
-  in
-  let hits = ref 0 and misses = ref 0 in
-  Telemetry.span "harness.run" ~args:[ ("ops", Array.length ops) ] (fun () ->
-      Array.iteri
-        (fun i op ->
-          Oplat.op_begin ol cpu;
-          (* Driver work: fetch the key from the request buffer, dispatch. *)
-          let key = Runtime.load_word rt ~site:s_driver key_buf ~off:(i * 8) in
-          Runtime.instr rt 10;
-          Oplat.mark ol cpu "driver";
-          (match op with
-          | Workload.Read _ -> (
-              match M.find m key with
-              | Some _ -> incr hits
-              | None -> incr misses)
-          | Workload.Update (_, v) | Workload.Insert (_, v) ->
-              M.insert m ~key ~value:v
-          | Workload.Scan (start, len) ->
-              (* Multi-get over consecutive record indices: the first
-                 key comes from the request buffer, the rest are
-                 derived by the driver. *)
-              for j = 0 to len - 1 do
-                let k = if j = 0 then key else Workload.key_of_index (start + j) in
-                match M.find m k with
-                | Some _ -> incr hits
-                | None -> incr misses
-              done
-          | Workload.Rmw (_, delta) ->
-              let v =
-                match M.find m key with
-                | Some v -> incr hits; v
-                | None -> incr misses; 0L
-              in
-              M.insert m ~key ~value:(Int64.add v delta));
-          Runtime.persist_op_boundary rt;
-          Oplat.op_end ol cpu
-            (match op with
-            | Workload.Read _ -> "get"
-            | Workload.Update _ -> "put"
-            | Workload.Insert _ -> "insert"
-            | Workload.Scan _ -> "scan"
-            | Workload.Rmw _ -> "rmw"))
-        ops);
-  (* Close the final epoch: the run is not over until its data is
-     durable, so the drain bills into the measured run phase. *)
-  Runtime.persist_sync rt;
-  let after = Runtime.snapshot rt in
-  Runtime.publish_stats rt;
-  {
-    benchmark = M.name;
-    mode;
-    load;
-    run = Cpu.diff_snapshot after load;
-    attr = Cpu.diff_attribution (Cpu.attribution (Runtime.cpu rt)) a0;
-    checks = counter_diff (Runtime.counters rt) c0;
-    hits = !hits;
-    misses = !misses;
-    oplat = ol;
-    persist = persist_tally rt;
-  }
+  finish rt ~benchmark:M.name ~mode c.Driver.phases ~hits:c.Driver.found
+    ~misses:c.Driver.missing c.Driver.oplat
 
 (* The separate LL harness: build [nodes] nodes of two pointers and a
    16-byte value, then iterate the list accumulating the values. *)
@@ -204,44 +86,27 @@ let run_ll ~mode ?(cfg = Nvml_arch.Config.default)
     ?(persist = Nvml_runtime.Persist.Eager) ?(nodes = 10_000)
     ?(iterations = 10) () : result =
   let rt = Runtime.create ~cfg ~mode ~persist () in
-  let region = region_for rt mode in
-  let l = Linked_list.create rt region in
+  let l = Linked_list.create rt (Driver.region rt mode ~pool:"kv") in
   let rng = Random.State.make [| 7 |] in
-  Telemetry.span "harness.load" ~args:[ ("records", nodes) ] (fun () ->
-      for _ = 1 to nodes do
-        Linked_list.append l
-          ~v0:(Random.State.int64 rng Int64.max_int)
-          ~v1:(Random.State.int64 rng Int64.max_int)
-      done);
-  Runtime.persist_sync rt;
-  let load = Runtime.snapshot rt in
-  let a0 = Cpu.attribution (Runtime.cpu rt) in
-  let c0 = copy_counters (Runtime.counters rt) in
   let cpu = Runtime.cpu rt in
   let ol = Oplat.create ~cell:("LL/" ^ Runtime.mode_name mode) () in
-  let sum = ref 0L in
-  Telemetry.span "harness.run" ~args:[ ("ops", iterations) ] (fun () ->
-      for _ = 1 to iterations do
-        Oplat.op_begin ol cpu;
-        sum := Linked_list.iterate_sum l;
-        Runtime.persist_op_boundary rt;
-        Oplat.op_end ol cpu "scan"
-      done);
-  Runtime.persist_sync rt;
-  let after = Runtime.snapshot rt in
-  Runtime.publish_stats rt;
-  {
-    benchmark = "LL";
-    mode;
-    load;
-    run = Cpu.diff_snapshot after load;
-    attr = Cpu.diff_attribution (Cpu.attribution (Runtime.cpu rt)) a0;
-    checks = counter_diff (Runtime.counters rt) c0;
-    hits = nodes;
-    misses = 0;
-    oplat = ol;
-    persist = persist_tally rt;
-  }
+  let p, () =
+    Driver.phases rt ~records:nodes ~ops:iterations
+      ~load:(fun () ->
+        for _ = 1 to nodes do
+          Linked_list.append l
+            ~v0:(Random.State.int64 rng Int64.max_int)
+            ~v1:(Random.State.int64 rng Int64.max_int)
+        done)
+      ~run:(fun () ->
+        for _ = 1 to iterations do
+          Oplat.op_begin ol cpu;
+          ignore (Linked_list.iterate_sum l);
+          Runtime.persist_op_boundary rt;
+          Oplat.op_end ol cpu "scan"
+        done)
+  in
+  finish rt ~benchmark:"LL" ~mode p ~hits:nodes ~misses:0 ol
 
 (* Run a named benchmark (Table III) in a mode. *)
 let run_benchmark name ~mode ?cfg ?persist (spec : Workload.spec) : result =

@@ -1,16 +1,14 @@
 (** The key-value store harness of Section VII-A: a driver mapping
     8-byte keys to 8-byte values through a pluggable index structure,
     loading an initial population and replaying a YCSB operation stream,
-    measuring the run phase in the timing model.  The driver's key
-    buffer lives in simulated DRAM, so volatile accesses interleave with
-    the library's persistent accesses as in a real run. *)
+    measuring the run phase in the timing model.  {!run_map} is the
+    one-shard, batch-1, cache-off cell of {!Driver}. *)
 
 module Cpu = Nvml_arch.Cpu
-module Xlate = Nvml_core.Xlate
 module Runtime = Nvml_runtime.Runtime
 module Workload = Nvml_ycsb.Workload
 
-type counter_delta = {
+type counter_delta = Driver.counter_delta = {
   dynamic_checks : int;
   abs_to_rel : int;
   rel_to_abs : int;

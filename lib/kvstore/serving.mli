@@ -18,7 +18,9 @@ type config = {
   spec : Nvml_ycsb.Workload.spec;
   shards : int;
   batch : int;  (** requests per runtime entry; 1 = no batching *)
-  front_cache : int;  (** total cache entries across all shards; 0 = off *)
+  front_cache : int;
+      (** total cache entries, split evenly across shards; 0 = off,
+          otherwise at least [shards] *)
   cfg : Nvml_arch.Config.t;
 }
 
@@ -88,12 +90,11 @@ val ops_per_sec : t -> float
     throughput (in fast functional mode, cycles are instruction
     counts). *)
 
-val shard_of_key : shards:int -> int64 -> int
-(** The shard a key lives on: [scramble key mod shards]. *)
-
 val run : ?par:((unit -> shard) list -> shard list) -> config -> t
 (** Run the configured serving workload.  [par] executes the
     share-nothing shard cells ([Pool.run pool] from bench); the default
     runs them sequentially.  Results are merged in shard-index order,
     so the report is byte-identical for any runner.  Publishes
-    [serving.*] telemetry counters when telemetry is enabled. *)
+    [serving.*] telemetry counters when telemetry is enabled.  Raises
+    [Invalid_argument] unless [shards >= 1], [batch >= 1] and
+    [front_cache] is 0 or at least [shards]. *)

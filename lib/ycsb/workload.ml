@@ -83,16 +83,8 @@ let scale spec factor =
    produce adjacent keys (YCSB hashes "user<i>" similarly). *)
 let key_of_index i = Distribution.scramble (Int64.of_int (i + 1))
 
-type op =
-  | Read of int64
-  | Update of int64 * int64
-  | Insert of int64 * int64
-  | Scan of int * int
-  | Rmw of int64 * int64
-
-(* Index-level mirror of [op], used by the serving engine to encode
-   operation streams compactly (keys are recomputed from the record
-   index with [key_of_index] at replay time). *)
+(* A run-phase operation at the record-index level: drivers pack the
+   stream compactly and recompute keys with [key_of_index] at replay. *)
 type idx_op =
   | IRead of int
   | IUpdate of int * int
@@ -141,15 +133,6 @@ let iter_idx_ops spec f =
       f (IInsert (idx, opno))
     end
   done
-
-let iter_ops spec f =
-  iter_idx_ops spec (fun iop ->
-      match iop with
-      | IRead i -> f (Read (key_of_index i))
-      | IUpdate (i, opno) -> f (Update (key_of_index i, Int64.of_int opno))
-      | IInsert (i, opno) -> f (Insert (key_of_index i, Int64.of_int opno))
-      | IScan (start, len) -> f (Scan (start, len))
-      | IRmw (i, opno) -> f (Rmw (key_of_index i, Int64.of_int opno)))
 
 (* Serving-scale mixes for the sharded engine: the paper preset scaled
    up, plus scan-heavy, read-modify-write, and hot-key-storm mixes.

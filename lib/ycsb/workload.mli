@@ -34,34 +34,24 @@ val scale : spec -> int -> spec
 val key_of_index : int -> int64
 (** The (scrambled) key of record index [i]. *)
 
-type op =
-  | Read of int64
-  | Update of int64 * int64
-  | Insert of int64 * int64
-  | Scan of int * int
-      (** [Scan (start, len)]: multi-get of records [start .. start+len-1]
-          by index; individual keys come from {!key_of_index}. *)
-  | Rmw of int64 * int64
-      (** [Rmw (key, delta)]: read the value of [key] and write back
-          value + [delta]. *)
-
-(** Index-level mirror of {!op}: record indices instead of keys, [int]
-    values.  Used by the serving engine to encode operation streams
-    compactly; keys are recomputed with {!key_of_index} at replay. *)
+(** A run-phase operation at the record-index level: record indices
+    instead of keys (recomputed with {!key_of_index} at replay), [int]
+    values. *)
 type idx_op =
   | IRead of int
-  | IUpdate of int * int
-  | IInsert of int * int
+  | IUpdate of int * int  (** SET of an existing record to a value *)
+  | IInsert of int * int  (** SET of a fresh record to a value *)
   | IScan of int * int
+      (** [IScan (start, len)]: multi-get of records
+          [start .. start+len-1]. *)
   | IRmw of int * int
-
-val iter_ops : spec -> (op -> unit) -> unit
-(** Stream the run-phase operations in order; deterministic per seed.
-    Reads, updates, scans, and RMWs always target live keys; inserts
-    always use fresh keys and extend the population. *)
+      (** [IRmw (i, delta)]: read the value of record [i] and write
+          back value + [delta]. *)
 
 val iter_idx_ops : spec -> (idx_op -> unit) -> unit
-(** Same stream as {!iter_ops} at the record-index level. *)
+(** Stream the run-phase operations in order; deterministic per seed.
+    Reads, updates, scans, and RMWs always target live records; inserts
+    always use fresh record indices and extend the population. *)
 
 val serving_mixes : records:int -> ops:int -> (string * spec) list
 (** The serving-engine mixes at the given scale: [read-latest] (the

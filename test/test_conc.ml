@@ -14,6 +14,7 @@ module Conc_workload = Nvml_structures.Conc_workload
 module Registry = Nvml_structures.Registry
 module Intf = Nvml_structures.Intf
 module Workload = Nvml_ycsb.Workload
+module Driver = Nvml_kvstore.Driver
 module Corpus = Nvml_minic.Corpus
 module Interp = Nvml_minic.Interp
 module Faultinject = Nvml_faultinject.Faultinject
@@ -145,17 +146,10 @@ let run_kv ~cluster =
     for i = 0 to 63 do
       M.insert m ~key:(Workload.key_of_index i) ~value:(Int64.of_int i)
     done;
-    Workload.iter_ops spec (function
-      | Workload.Read k -> ignore (M.find m k)
-      | Workload.Update (k, v) | Workload.Insert (k, v) ->
-          M.insert m ~key:k ~value:v
-      | Workload.Scan (start, len) ->
-          for j = start to start + len - 1 do
-            ignore (M.find m (Workload.key_of_index j))
-          done
-      | Workload.Rmw (k, d) ->
-          let v = match M.find m k with Some v -> v | None -> 0L in
-          M.insert m ~key:k ~value:(Int64.add v d))
+    let ops = Driver.stream spec in
+    for j = 0 to Driver.length ops - 1 do
+      Driver.apply_at (module M) m ops j
+    done
   in
   if cluster then Cluster.run (Cluster.create ~cores:1 rt) [| body |]
   else body 0;

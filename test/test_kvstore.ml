@@ -106,6 +106,45 @@ let test_nvm_accesses_only_in_persistent_modes () =
   check_int "volatile never touches NVM" 0 (nvm Runtime.Volatile);
   check_bool "HW touches NVM" true (nvm Runtime.Hw > 0)
 
+
+(* Golden pins: the exact load/run statistics of the paper-preset shape
+   for RB and Hash in every mode, on the cycle-accurate core.  Any change
+   to the driver loop, the staging order or the dispatch cost moves one
+   of these numbers. *)
+let golden =
+  [
+    (* structure, mode, [run instrs; run cycles; load instrs; load cycles;
+       dynamic checks; ra2va; va2ra; hits; misses] *)
+    ("RB", Runtime.Volatile, [ 143434; 257536; 27483; 62571; 0; 0; 0; 1913; 0 ]);
+    ("RB", Runtime.Sw, [ 820212; 959954; 213807; 310435; 72121; 19923; 294; 1913; 0 ]);
+    ("RB", Runtime.Hw, [ 143434; 287637; 27483; 91723; 0; 19923; 0; 1913; 0 ]);
+    ("RB", Runtime.Explicit, [ 217186; 378604; 44677; 112642; 0; 36876; 0; 1913; 0 ]);
+    ("Hash", Runtime.Volatile, [ 63607; 113171; 19821; 45031; 0; 0; 0; 1913; 0 ]);
+    ("Hash", Runtime.Sw, [ 339271; 410035; 135794; 197768; 23988; 10485; 349; 1913; 0 ]);
+    ("Hash", Runtime.Hw, [ 63607; 135640; 19821; 70362; 0; 10485; 1; 1913; 0 ]);
+    ("Hash", Runtime.Explicit, [ 90577; 166466; 29755; 82172; 0; 13485; 0; 1913; 0 ]);
+  ]
+
+let test_golden_pins () =
+  List.iter
+    (fun (name, mode, want) ->
+      let r = Harness.run_benchmark name ~mode small in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s/%s pins" name (Runtime.mode_name mode))
+        want
+        [
+          r.Harness.run.Cpu.instrs;
+          r.Harness.run.Cpu.cycles;
+          r.Harness.load.Cpu.instrs;
+          r.Harness.load.Cpu.cycles;
+          r.Harness.checks.Harness.dynamic_checks;
+          r.Harness.checks.Harness.rel_to_abs;
+          r.Harness.checks.Harness.abs_to_rel;
+          r.Harness.hits;
+          r.Harness.misses;
+        ])
+    golden
+
 let () =
   Alcotest.run "kvstore"
     [
@@ -117,6 +156,7 @@ let () =
           Alcotest.test_case "LL harness" `Quick test_ll_harness;
           Alcotest.test_case "NVM access placement" `Quick
             test_nvm_accesses_only_in_persistent_modes;
+          Alcotest.test_case "golden pins" `Quick test_golden_pins;
         ] );
       ( "paper-shapes",
         [

@@ -10,6 +10,8 @@ module Oplat = Nvml_runtime.Oplat
 module Latency = Nvml_telemetry.Latency
 module Cpu = Nvml_arch.Cpu
 module Pool = Nvml_exec.Pool
+module Harness = Nvml_kvstore.Harness
+module Driver = Nvml_kvstore.Driver
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -18,9 +20,9 @@ let check_string = Alcotest.(check string)
 let mix name ~records ~ops =
   List.assoc name (Workload.serving_mixes ~records ~ops)
 
-let run ?par ?(structure = "Hash") ?(shards = 8) ?(batch = 32)
-    ?(front_cache = 0) spec =
-  Runtime.with_default_timing false @@ fun () ->
+let run ?par ?(timing = false) ?(structure = "Hash") ?(shards = 8)
+    ?(batch = 32) ?(front_cache = 0) spec =
+  Runtime.with_default_timing timing @@ fun () ->
   Serving.run ?par
     (Serving.default_config ~structure ~mode:Runtime.Hw ~shards ~batch
        ~front_cache spec)
@@ -128,13 +130,13 @@ let test_shard_balance () =
     (fun (s : Serving.shard) ->
       check_bool "shard non-empty" true (s.Serving.records > 0);
       check_int "shard routing stable" s.Serving.index
-        (Serving.shard_of_key ~shards:8
+        (Driver.shard_of_key ~shards:8
            (Workload.key_of_index
               (* any record this shard loaded *)
               (let r = ref (-1) in
                for i = 0 to 3999 do
                  if !r < 0
-                    && Serving.shard_of_key ~shards:8 (Workload.key_of_index i)
+                    && Driver.shard_of_key ~shards:8 (Workload.key_of_index i)
                        = s.Serving.index
                  then r := i
                done;
@@ -154,6 +156,94 @@ let test_scan_flushes_dirty () =
   check_bool "writebacks happened" true
     (t.Serving.cache.Serving.writebacks > 0)
 
+(* Golden pins: the metrics bytes of the shard cell across shard count,
+   batch size, front cache and the two mixes that exercise scan sub-gets
+   and read-modify-writes, on both cores.  Pinned as MD5 digests of
+   [metrics_bytes]. *)
+let golden =
+  [
+    (* mix, shards, batch, front cache, cycle-accurate, md5 *)
+    ("scan-heavy", 1, 1, 0, false, "b8bf008f8336ea6ee7ab1b881fc55191");
+    ("scan-heavy", 1, 1, 0, true, "21c22a42322c006080474525f188de87");
+    ("scan-heavy", 1, 1, 256, false, "4c91ebd7fc57aeca32000f902af46775");
+    ("scan-heavy", 1, 1, 256, true, "71bb7a0d451afc93d67a1f0040b1fced");
+    ("scan-heavy", 1, 8, 0, false, "4b70356dddc4850968e9b26e21c36f51");
+    ("scan-heavy", 1, 8, 0, true, "3c2ec059f5ed3c1d017493ee71e21857");
+    ("scan-heavy", 1, 8, 256, false, "f0c78871405f399e4fef484ef70b5e8d");
+    ("scan-heavy", 1, 8, 256, true, "80e70c2e8ff0ce271a88d375a38bf4bc");
+    ("scan-heavy", 4, 1, 0, false, "a568fad391b3f15a16357781357aff17");
+    ("scan-heavy", 4, 1, 0, true, "9c6c9ec2ad596aa00f70f0f870db4885");
+    ("scan-heavy", 4, 1, 256, false, "8c93c3b0c5533ca49fba80ade37bae75");
+    ("scan-heavy", 4, 1, 256, true, "a403006103cec1d8e75bc20b8fd8cd90");
+    ("scan-heavy", 4, 8, 0, false, "af41c5a7dadcff777ba0b5cb78099821");
+    ("scan-heavy", 4, 8, 0, true, "84b41998fb2ec6aaa9ceffad3e8631bd");
+    ("scan-heavy", 4, 8, 256, false, "1335a561937df3077d3cc39909f337cf");
+    ("scan-heavy", 4, 8, 256, true, "1d211e2b654535eb4c9bcdee5330d173");
+    ("rmw-heavy", 1, 1, 0, false, "813484f0da51d6893d88632736b45ca2");
+    ("rmw-heavy", 1, 1, 0, true, "d07fd7f4733f51776850e25fb9979756");
+    ("rmw-heavy", 1, 1, 256, false, "69d80ea3d08f30ce8ef9f3f0165f975c");
+    ("rmw-heavy", 1, 1, 256, true, "561c550c626a602489105353426c7d17");
+    ("rmw-heavy", 1, 8, 0, false, "c6087e45062f00e778a64d2164b429af");
+    ("rmw-heavy", 1, 8, 0, true, "6ed2d0d191e96b5e101a4d9c168413b2");
+    ("rmw-heavy", 1, 8, 256, false, "eb362cab9dd45af30796a07d0cba34c5");
+    ("rmw-heavy", 1, 8, 256, true, "421af2eac27675c1a35196d77e8e67d7");
+    ("rmw-heavy", 4, 1, 0, false, "ddf349e52649b46da2aa0b2e55bf3dd0");
+    ("rmw-heavy", 4, 1, 0, true, "6cb3f97a1263a5a5630cf769f3af8c2c");
+    ("rmw-heavy", 4, 1, 256, false, "6c672769472a6bf5c184a663801f925f");
+    ("rmw-heavy", 4, 1, 256, true, "e543000897a2401f5c6c7684a17146d1");
+    ("rmw-heavy", 4, 8, 0, false, "0031b074e138417492ea5cf44d5e87ef");
+    ("rmw-heavy", 4, 8, 0, true, "e9902661a8bf0cf9545ee80658f466af");
+    ("rmw-heavy", 4, 8, 256, false, "675fabe09fdd6cc3c7ad528e723371a6");
+    ("rmw-heavy", 4, 8, 256, true, "6a27519a8c44aa0792593a52a02f5a38");
+  ]
+
+let test_golden_pins () =
+  List.iter
+    (fun (name, shards, batch, front_cache, timing, want) ->
+      let t =
+        run ~timing ~shards ~batch ~front_cache
+          (mix name ~records:1000 ~ops:2000)
+      in
+      check_string
+        (Printf.sprintf "%s shards %d batch %d cache %d %s" name shards batch
+           front_cache
+           (if timing then "cycle" else "fast"))
+        want
+        (Digest.to_hex (Digest.string (metrics_bytes t))))
+    golden
+
+(* A one-shard, batch-1, cache-off serving cell is the paper harness plus
+   the serving dispatch shell: 4 instrs per op and 40 per batch in place
+   of the harness's 10 per op, i.e. exactly 34 more per request, with the
+   same lookups and the same load phase. *)
+let test_one_shard_is_harness () =
+  let spec = mix "read-latest" ~records:2000 ~ops:5000 in
+  let h =
+    Runtime.with_default_timing false (fun () ->
+        Harness.run_benchmark "Hash" ~mode:Runtime.Hw spec)
+  in
+  let t = run ~shards:1 ~batch:1 spec in
+  let s = List.hd t.Serving.per_shard in
+  check_int "instrs = harness + 34/op"
+    (h.Harness.run.Cpu.instrs + (34 * spec.Workload.operation_count))
+    s.Serving.run.Cpu.instrs;
+  check_int "found = harness hits" h.Harness.hits t.Serving.found;
+  check_int "missing = harness misses" h.Harness.misses t.Serving.missing;
+  check_int "load instrs equal" h.Harness.load.Cpu.instrs
+    s.Serving.load.Cpu.instrs
+
+(* The front cache is split evenly across shards, so a cache smaller
+   than the shard count cannot give every shard an entry: it is
+   rejected rather than silently rounded up.  A cache of exactly one
+   entry per shard is accepted. *)
+let test_front_cache_below_shards () =
+  let spec = mix "read-latest" ~records:200 ~ops:200 in
+  Alcotest.check_raises "front_cache 3 < shards 8"
+    (Invalid_argument "Serving.run: front_cache must be 0 or >= shards")
+    (fun () -> ignore (run ~shards:8 ~front_cache:3 spec));
+  let t = run ~shards:8 ~front_cache:8 spec in
+  check_int "front_cache = shards runs" 200 t.Serving.ops
+
 let () =
   Alcotest.run "serving"
     [
@@ -161,6 +251,9 @@ let () =
         [
           Alcotest.test_case "jobs 4 == jobs 1" `Quick test_jobs_determinism;
           Alcotest.test_case "shard balance" `Quick test_shard_balance;
+          Alcotest.test_case "golden pins" `Quick test_golden_pins;
+          Alcotest.test_case "one shard is the harness" `Quick
+            test_one_shard_is_harness;
         ] );
       ( "front cache",
         [
@@ -170,6 +263,8 @@ let () =
             test_hot_storm_hit_rate;
           Alcotest.test_case "scan flushes dirty" `Quick
             test_scan_flushes_dirty;
+          Alcotest.test_case "below shard count rejected" `Quick
+            test_front_cache_below_shards;
         ] );
       ( "batching",
         [
