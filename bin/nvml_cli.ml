@@ -876,15 +876,18 @@ let faultinject_cmd =
       & info [ "records" ] ~doc:"Initial records (kv workload).")
   in
   let ops_arg =
-    Arg.(value & opt int 100 & info [ "ops" ] ~doc:"Run-phase operations.")
+    Arg.(
+      value & opt int 100
+      & info [ "ops" ]
+          ~doc:"Run-phase operations (per core for conc); at least 1.")
   in
   let every_n_arg =
     Arg.(
       value & opt int 1
       & info [ "every-n"; "n" ] ~docv:"N"
           ~doc:
-            "Crash at every $(docv)th persistence event (1 = exhaustive). \
-             Ignored when --at is given.")
+            "Crash at every $(docv)th persistence event (1 = exhaustive; at \
+             least 1).  Ignored when --at is given.")
   in
   let at_arg =
     Arg.(
@@ -903,21 +906,24 @@ let faultinject_cmd =
             "Additionally tear the interrupted store: the word is replaced \
              by a seeded byte-mix of its old and new value, modelling a \
              power failure mid-write.  Undo-log words are exempt (the log \
-             protocol assumes 8-byte atomicity).")
+             protocol assumes 8-byte atomicity).  Rejected for conc, which \
+             has no undo log.")
   in
   let seed_arg =
     Arg.(
       value & opt int 1
       & info [ "seed" ] ~docv:"SEED"
           ~doc:
-            "Seed for the torn byte masks; sweeps with the same seed replay \
-             bit-identically.")
+            "Seed for the torn byte masks and the conc schedule; sweeps with \
+             the same seed replay bit-identically.")
   in
   let max_points_arg =
     Arg.(
       value & opt (some int) None
       & info [ "max-points" ] ~docv:"N"
-          ~doc:"Stop after the first $(docv) crash points (smoke runs).")
+          ~doc:
+            "Stop after the first $(docv) crash points (smoke runs); at least \
+             1.")
   in
   let break_arg =
     Arg.(
@@ -925,65 +931,45 @@ let faultinject_cmd =
       & info [ "break-recovery" ]
           ~doc:
             "Checker self-test: skip log recovery after each crash and \
-             report the violations the checker finds.")
+             report the violations the checker finds.  Rejected for conc, \
+             which has no recovery step.")
   in
   let run mode persist workload structure records ops every_n at torn seed
       max_points break_recovery jobs timing cores =
-    (* [--at] out of range (and any other sweep-setup misuse) surfaces
-       as Invalid_argument; turn it into a clean CLI error. *)
-    let checked f = try f () with Invalid_argument m -> Fmt.epr "%s@." m; exit 1 in
-    if String.lowercase_ascii workload = "conc" then begin
-      (* Multi-core sweep: crash at every enumerated persistence event of
-         any core of the seeded interleaving; [--seed] drives the
-         schedule, [--ops] is per core. *)
-      if cores < 1 then begin
-        Fmt.epr "--cores must be >= 1, got %d@." cores;
+    (* A sweep of no crash point checks nothing; only the library's
+       callers may ask for the reference pass alone. *)
+    (match max_points with
+    | Some m when m < 1 ->
+        Fmt.epr "faultinject: --max-points must be >= 1, got %d@." m;
         exit 1
-      end;
-      let spec =
-        {
-          Faultinject.cores;
-          ops_per_core = ops;
-          sched_seed = seed;
-          conc_every_n = max 1 every_n;
-          conc_max_points = max_points;
-        }
-      in
-      let report =
-        with_pool jobs (fun pool ->
-            checked (fun () ->
-                Faultinject.run_conc ~par:(Pool.run pool) ~mode ~persist ~spec
-                  ~timing ()))
-      in
-      Fmt.pr "%a@." Faultinject.pp_conc_report report;
-      if report.Faultinject.conc_violation_list <> [] then exit 1
-    end
-    else
-    let w =
+    | _ -> ());
+    let spec =
+      { Faultinject.every_n; at; torn; seed; max_points; break_recovery }
+    in
+    let sweep =
+      let run w par = Faultinject.run ~par ~mode ~persist ~spec ~timing w in
       match String.lowercase_ascii workload with
-      | "counter" -> Faultinject.counter_workload ~ops ()
+      | "conc" ->
+          fun par ->
+            Faultinject.run_conc ~cores ~ops_per_core:ops ~par ~mode ~persist
+              ~spec ~timing ()
+      | "counter" -> run (Faultinject.counter_workload ~ops ())
       | "kv" ->
           check_kv_counts ~records ~ops;
-          Faultinject.kv_workload ~structure ~records ~ops ()
+          run (Faultinject.kv_workload ~structure ~records ~ops ())
       | other ->
           Fmt.epr "--workload expects kv, counter or conc, got %S@." other;
           exit 2
     in
-    let spec =
-      {
-        Faultinject.every_n = max 1 every_n;
-        at;
-        torn;
-        seed;
-        max_points;
-        break_recovery;
-      }
-    in
+    (* Sweep-setup misuse (a flag below 1, an out-of-range [--at], a
+       flag the workload cannot honour) surfaces as Invalid_argument;
+       turn it into a clean CLI error. *)
     let report =
       with_pool jobs (fun pool ->
-          checked (fun () ->
-              Faultinject.run ~par:(Pool.run pool) ~mode ~persist ~spec ~timing
-                w))
+          try sweep (Pool.run pool)
+          with Invalid_argument m ->
+            Fmt.epr "%s@." m;
+            exit 1)
     in
     Fmt.pr "%a@." Faultinject.pp_report report;
     if report.Faultinject.violations <> [] then exit 1

@@ -1,16 +1,19 @@
 (* Systematic crash-point fault injection for the persistence stack.
 
-   The engine runs a workload twice over.  A *reference* pass counts
-   every persistence-relevant event (NVM word stores, storeP
-   retirements, undo-log appends, allocator-metadata writes — see
-   [Nvml_simmem.Fi]) and records the structure's contents at every
-   operation boundary.  Then, for each chosen event index k, a *crash*
-   pass replays the identical workload on a fresh machine and kills the
+   One engine runs every sweep, and an oracle plugs into it.  A
+   *reference* pass counts every persistence-relevant event (NVM word
+   stores, storeP retirements, undo-log appends, allocator-metadata
+   writes — see [Nvml_simmem.Fi]) while the oracle watches the
+   workload.  Then, for each chosen event index k, a *crash* pass
+   replays the identical workload on a fresh machine and kills the
    power at event k: the fi hook raises before the store lands and the
    media is frozen so nothing written during unwinding reaches it.  The
    machine is then rebooted ([Runtime.crash_and_restart] — DRAM,
    mappings and microarchitectural state gone), the pool re-opened at a
-   skewed base, the undo log recovered, and the checker validates:
+   skewed base, and the oracle recovers and checks the state.
+
+   The transactional oracle ([run]) records the structure's contents at
+   every operation boundary, recovers the undo log, and validates:
 
      - recovery returns [Clean] or [Rolled_back n];
      - the structure's invariants hold and its contents walk does not
@@ -55,7 +58,11 @@
    predicted AND a state that retained more than predicted are both
    hard failures.  The eager model is the degenerate case: the oracle
    predicts per-operation atomicity, strictly subsuming the pre/post
-   snapshot rule described above. *)
+   snapshot rule described above.
+
+   The durable-linearizability oracle ([run_conc]) checks the
+   concurrent structures of the multi-core machine; it is described
+   with its code below. *)
 
 module Layout = Nvml_simmem.Layout
 module Mem = Nvml_simmem.Mem
@@ -193,7 +200,7 @@ type spec = {
   every_n : int;  (* crash at events 0, n, 2n, ... (when [at] is empty) *)
   at : int list;  (* explicit event indices instead *)
   torn : bool;
-  seed : int;
+  seed : int;  (* torn byte masks; the conc schedule *)
   max_points : int option;
   break_recovery : bool;
       (* checker self-test: skip Txn.recover and let the checker prove
@@ -221,10 +228,10 @@ type tally = {
 
 type outcome = {
   point : int;  (* the event index the crash interrupted *)
-  op : int;  (* the operation that event belonged to *)
+  op : int;  (* the op that event belonged to; conc: ops completed *)
   kind : string;  (* Fi.kind_name of the interrupted event *)
   recovery : Txn.recovery;
-  lost_ops : int;  (* committed ops whose effects the model let die *)
+  lost_ops : int;  (* completed ops whose effects the model let die *)
   torn_injected : bool;
   violations : string list;
 }
@@ -251,28 +258,232 @@ exception Crash_now
 (* Raised from the fi hook at the crash point; private to the engine
    (and never escapes: the replay loop catches it). *)
 
-(* Build a fresh machine, pool, workload instance and instrumented
-   transaction; anchor [txn header; structure header] in a root block.
-   Under a relaxed model the undo log covers a whole epoch instead of a
-   single operation (a lazy run is one epoch!), so the log gets a much
-   larger arena; setup is then drained so the machine starts from a
-   fully durable state — the drain fires before the fi hook installs,
-   so reference and crash passes count identical event schedules. *)
-let boot ~mode ~persist w =
+(* What an oracle plugs into the engine.  ['s] is the state [setup]
+   builds on each machine, ['r] what the reference pass learns. *)
+type ('s, 'r) oracle = {
+  name : string;
+  ops : int;
+  setup : Runtime.t -> pool:int -> anchor:(Ptr.t -> Ptr.t -> unit) -> 's;
+      (* build the workload, then [anchor] the two headers recovery
+         starts from *)
+  reference : Runtime.t -> pool:int -> 's -> (Fi.event -> unit) * (unit -> 'r);
+      (* an observer that sees every event before it lands, and the
+         workload run it observes *)
+  replay : Runtime.t -> 's -> unit;  (* the same workload, unobserved *)
+  tear : Runtime.t -> 's -> point:int -> Fi.event -> (unit -> unit) option;
+      (* [spec.torn]: tear the interrupted word; [Some f] means a word
+         was torn, and [f] runs once the machine has rebooted *)
+  locate : 'r -> int -> int * int;  (* a point's [op] and [lost_ops] *)
+  verdict :
+    'r -> Runtime.t -> pool:int -> point:int -> add:(string -> unit) ->
+    Ptr.t -> Ptr.t -> Txn.recovery;
+      (* recover from the two anchored headers and check the contract,
+         reporting each violation through [add] *)
+}
+
+let at_least_1 flag v =
+  if v < 1 then Fmt.invalid_arg "faultinject: %s must be >= 1, got %d" flag v
+
+(* Build a fresh machine and pool and let the oracle set its workload
+   up; [anchor] stores two headers in a root block, as an application
+   would, so recovery can find them after the pool re-opens at a skewed
+   base.  Setup is then made durable before any fi hook installs, so
+   reference and crash passes count identical event schedules. *)
+let boot ~mode ~persist o =
   let rt = Runtime.create ~mode ~persist () in
   let pool = Runtime.create_pool rt ~name:"fi" ~size:pool_size in
-  let inst = w.setup rt ~pool in
-  let txn =
-    if Persist.is_eager persist then Txn.create rt ~pool ()
-    else Txn.create rt ~pool ~capacity:16384 ()
+  let anchor h0 h1 =
+    let root = Runtime.alloc rt ~pool ~persistent:true 16 in
+    Runtime.store_ptr rt ~site root ~off:0 h0;
+    Runtime.store_ptr rt ~site root ~off:8 h1;
+    Runtime.set_root rt ~site ~pool root
   in
-  let root = Runtime.alloc rt ~pool ~persistent:true 16 in
-  Runtime.store_ptr rt ~site root ~off:0 (Txn.header txn);
-  Runtime.store_ptr rt ~site root ~off:8 inst.header;
-  Runtime.set_root rt ~site ~pool root;
-  Txn.instrument txn;
+  let s = o.setup rt ~pool ~anchor in
   Runtime.persist_sync rt;
-  (rt, pool, txn, inst)
+  (rt, pool, s)
+
+(* Install the fi hook.  [on_event i ev] runs before event [i] lands;
+   at event [crash_at] the power goes off: the media freezes, so
+   nothing written while unwinding may land, and [Crash_now] unwinds
+   the workload.  The returned function removes the hook and gives the
+   event count and the crash event's kind ([None]: never reached). *)
+let hook rt ~crash_at on_event =
+  let phys = Mem.phys (Runtime.mem rt) in
+  let idx = ref 0 and kind = ref None in
+  Physmem.set_fi_hook phys
+    (Some
+       (fun ev ->
+         let i = !idx in
+         incr idx;
+         on_event i ev;
+         if i = crash_at then begin
+           kind := Some (Fi.kind_name ev);
+           Physmem.set_frozen phys true;
+           raise Crash_now
+         end));
+  fun () ->
+    Physmem.set_fi_hook phys None;
+    (!idx, !kind)
+
+(* The reference pass: the oracle observes the whole workload while the
+   engine counts the events by kind. *)
+let reference ~mode ~persist o =
+  let rt, pool, s = boot ~mode ~persist o in
+  let observe, run = o.reference rt ~pool s in
+  let pm = ref 0 and sp = ref 0 and la = ref 0 and mw = ref 0 in
+  let fl = ref 0 and fe = ref 0 in
+  let unhook =
+    hook rt ~crash_at:(-1) (fun _ ev ->
+        observe ev;
+        incr
+          (match ev with
+          | Fi.Pm_store _ -> pm
+          | Fi.Storep_retire -> sp
+          | Fi.Txn_log_append -> la
+          | Fi.Alloc_meta_write _ -> mw
+          | Fi.Flush_line _ -> fl
+          | Fi.Fence -> fe))
+  in
+  let r = run () in
+  let events, _ = unhook () in
+  let tally =
+    {
+      pm_stores = !pm;
+      storeps = !sp;
+      log_appends = !la;
+      meta_writes = !mw;
+      flushes = !fl;
+      fences = !fe;
+    }
+  in
+  (events, tally, r)
+
+(* One crash pass: replay, die at event [point], reboot, re-open the
+   pool and hand the anchored headers to the oracle's verdict.  A fresh
+   share-nothing machine per point, so passes can run on worker domains
+   in any order. *)
+let crash_pass ~mode ~persist o spec r point =
+  let rt, pool, s = boot ~mode ~persist o in
+  let tear = if spec.torn then o.tear rt s ~point else fun _ -> None in
+  let torn = ref None in
+  let unhook =
+    hook rt ~crash_at:point (fun i ev -> if i = point then torn := tear ev)
+  in
+  (try o.replay rt s with Crash_now -> ());
+  let kind =
+    match unhook () with
+    | _, Some kind -> kind
+    | _, None ->
+        Fmt.invalid_arg "Faultinject: crash point %d past the last event" point
+  in
+  let violations = ref [] in
+  let add msg = violations := msg :: !violations in
+  (* Reboot.  crash_and_restart reverts still-buffered words to their
+     durable values and clears the instrumentation hooks along with the
+     rest of the volatile state. *)
+  Runtime.crash_and_restart rt;
+  Option.iter (fun after_reboot -> after_reboot ()) !torn;
+  let recovery =
+    try
+      ignore (Runtime.open_pool rt "fi");
+      let root = Runtime.get_root rt ~site ~pool in
+      let h0 = Runtime.load_ptr rt ~site root ~off:0 in
+      let h1 = Runtime.load_ptr rt ~site root ~off:8 in
+      o.verdict r rt ~pool ~point ~add h0 h1
+    with e ->
+      add ("recovery failed: " ^ Printexc.to_string e);
+      Txn.Clean
+  in
+  let op, lost_ops = o.locate r point in
+  {
+    point;
+    op;
+    kind;
+    recovery;
+    lost_ops;
+    torn_injected = Option.is_some !torn;
+    violations = List.rev !violations;
+  }
+
+(* The crash points: every [every_n]th event, or the explicit [at]
+   list, cut to the first [max_points] ([Some 0]: the reference pass
+   alone). *)
+let points_of ~events spec =
+  let pts =
+    match spec.at with
+    | [] ->
+        let n = spec.every_n in
+        List.init ((events + n - 1) / n) (fun i -> i * n)
+    | at ->
+        (* An out-of-range index must not silently shrink the sweep to
+           zero passes — fail loudly with the valid range instead. *)
+        List.iter
+          (fun p ->
+            if p < 0 || p >= events then
+              Fmt.invalid_arg
+                "faultinject: crash point %d is out of range (this workload \
+                 has events 0..%d)"
+                p (events - 1))
+          at;
+        List.sort_uniq compare at
+  in
+  match spec.max_points with
+  | None -> pts
+  | Some m -> List.filteri (fun i _ -> i < m) pts
+
+(* Run a sweep.  [par] maps the per-point thunks (share-nothing,
+   order-independent) to their results in submission order — pass
+   [Nvml_exec.Pool.run pool] for a parallel sweep; results are
+   identical to the sequential default. *)
+let sweep ?(par = List.map (fun f -> f ())) ?(mode = Runtime.Hw)
+    ?(persist = Persist.Eager) ?(timing = false) spec o =
+  (match mode with
+  | Runtime.Volatile ->
+      invalid_arg "Faultinject: the Volatile mode has nothing to recover"
+  | _ -> ());
+  at_least_1 "--every-n" spec.every_n;
+  (* Crash-point enumeration and recovery verdicts are functional, so
+     the reference pass and every crash pass default to the fast core;
+     [~timing:true] restores cycle-accurate simulation (same report). *)
+  Runtime.with_default_timing timing @@ fun () ->
+  let events, tally, r = reference ~mode ~persist o in
+  let outcomes =
+    par
+      (List.map
+         (fun p () -> crash_pass ~mode ~persist o spec r p)
+         (points_of ~events spec))
+  in
+  let count f = List.length (List.filter f outcomes) in
+  let report =
+    {
+      workload = o.name;
+      persist = Persist.model_name persist;
+      ops = o.ops;
+      events;
+      tally;
+      outcomes;
+      clean = count (fun o -> o.recovery = Txn.Clean);
+      rolled_back =
+        count (fun o -> match o.recovery with Txn.Rolled_back _ -> true | _ -> false);
+      suffix_lost = count (fun o -> o.lost_ops > 0);
+      torn_injected = count (fun o -> o.torn_injected);
+      violations =
+        List.concat_map
+          (fun o -> List.map (fun v -> (o.point, v)) o.violations)
+          outcomes;
+    }
+  in
+  if Telemetry.enabled () then begin
+    Telemetry.add c_points (List.length report.outcomes);
+    Telemetry.add c_clean report.clean;
+    Telemetry.add c_rolled_back report.rolled_back;
+    Telemetry.add c_suffix_lost report.suffix_lost;
+    Telemetry.add c_torn report.torn_injected;
+    Telemetry.add c_violations (List.length report.violations)
+  end;
+  report
+
+(* --- the transactional oracle ------------------------------------------- *)
 
 (* One workload operation: a transaction, then the persistency model's
    op-boundary hook (which drains the epoch every [interval] ops). *)
@@ -310,9 +521,7 @@ let in_spans spans ~frame ~word_index =
     (fun (f, w0, w1) -> f = frame && word_index >= w0 && word_index <= w1)
     spans
 
-type reference = {
-  total : int;
-  ref_tally : tally;
+type txn_ref = {
   op_start : int array;  (* event index at which each op began *)
   expected : Snapshot.t array;  (* contents after ops [0, i) *)
   alloc_bytes : int64 array;  (* pool allocated bytes after ops [0, i) *)
@@ -345,9 +554,7 @@ type reference = {
    machinery degenerates to per-operation atomicity (the epoch is one
    operation), making the exact check strictly stronger than the old
    pre/post-snapshot rule. *)
-let reference ~mode ~persist w =
-  let rt, pool, txn, inst = boot ~mode ~persist w in
-  let phys = Mem.phys (Runtime.mem rt) in
+let txn_reference (w : workload) rt ~pool (txn, inst) =
   (* Physical (frame, word) locations of the log's control words; pool
      frames are stable, so these stay valid for the whole run. *)
   let loc off =
@@ -361,8 +568,6 @@ let reference ~mode ~persist w =
   in
   let state_loc = loc 0 and count_loc = loc 8 in
   let total = ref 0 in
-  let pm = ref 0 and sp = ref 0 and la = ref 0 and mw = ref 0 in
-  let fl = ref 0 and fe = ref 0 in
   (* Oracle mirror: durable log state/count, the newest fully durable
      op boundary ([completed]) and the boundary a whole-epoch rollback
      lands on ([reset_p]). *)
@@ -370,74 +575,59 @@ let reference ~mode ~persist w =
   let completed = ref 0 and reset_p = ref 0 in
   let cur = ref 0 in
   let preds = ref [] in
-  Physmem.set_fi_hook phys
-    (Some
-       (fun ev ->
-         incr total;
-         preds :=
-           (if !d_state = 1 && !d_count > 0 then
-              (Txn.Rolled_back !d_count, !reset_p)
-            else if !d_state = 1 then (Txn.Rolled_back 0, !completed)
-            else (Txn.Clean, !completed))
-           :: !preds;
-         match ev with
-         | Fi.Pm_store { frame; word_index; new_value; _ } ->
-             incr pm;
-             if (frame, word_index) = state_loc then
-               d_state := Int64.to_int new_value
-             else if (frame, word_index) = count_loc then begin
-               let n = Int64.to_int new_value in
-               (if n = 0 then
-                  if !d_count > 0 then begin
-                    (* Truncation of a non-empty log: every entry just
-                       became redundant, so the boundary the current
-                       operation is closing is durable. *)
-                    completed := !cur + 1;
-                    reset_p := !cur + 1
-                  end
-                  else reset_p := !completed);
-               d_count := n
+  let observe ev =
+    incr total;
+    preds :=
+      (if !d_state = 1 && !d_count > 0 then (Txn.Rolled_back !d_count, !reset_p)
+       else if !d_state = 1 then (Txn.Rolled_back 0, !completed)
+       else (Txn.Clean, !completed))
+      :: !preds;
+    match ev with
+    | Fi.Pm_store { frame; word_index; new_value; _ } ->
+        if (frame, word_index) = state_loc then
+          d_state := Int64.to_int new_value
+        else if (frame, word_index) = count_loc then begin
+          let n = Int64.to_int new_value in
+          (if n = 0 then
+             if !d_count > 0 then begin
+               (* Truncation of a non-empty log: every entry just
+                  became redundant, so the boundary the current
+                  operation is closing is durable. *)
+               completed := !cur + 1;
+               reset_p := !cur + 1
              end
-         | Fi.Storep_retire -> incr sp
-         | Fi.Txn_log_append -> incr la
-         | Fi.Alloc_meta_write _ -> incr mw
-         | Fi.Flush_line _ -> incr fl
-         | Fi.Fence -> incr fe));
-  let allocated () = Pmop.allocated_bytes (Runtime.pmop rt) ~pool in
-  let expected = Array.make (w.ops + 1) (inst.snapshot ()) in
-  let alloc_bytes = Array.make (w.ops + 1) (allocated ()) in
-  let op_start = Array.make (w.ops + 1) 0 in
-  for i = 0 to w.ops - 1 do
-    op_start.(i) <- !total;
-    cur := i;
-    run_op rt txn inst i;
-    expected.(i + 1) <- inst.snapshot ();
-    alloc_bytes.(i + 1) <- allocated ()
-  done;
-  op_start.(w.ops) <- !total;
-  Physmem.set_fi_hook phys None;
-  let preds = Array.of_list (List.rev !preds) in
-  {
-    total = !total;
-    ref_tally =
-      {
-        pm_stores = !pm;
-        storeps = !sp;
-        log_appends = !la;
-        meta_writes = !mw;
-        flushes = !fl;
-        fences = !fe;
-      };
-    op_start;
-    expected;
-    alloc_bytes;
-    mutated =
-      Array.init w.ops (fun i ->
-          (not (Snapshot.equal expected.(i + 1) expected.(i)))
-          || alloc_bytes.(i + 1) <> alloc_bytes.(i));
-    pred_recovery = Array.map fst preds;
-    pred_boundary = Array.map snd preds;
-  }
+             else reset_p := !completed);
+          d_count := n
+        end
+    | _ -> ()
+  in
+  let run () =
+    let allocated () = Pmop.allocated_bytes (Runtime.pmop rt) ~pool in
+    let expected = Array.make (w.ops + 1) (inst.snapshot ()) in
+    let alloc_bytes = Array.make (w.ops + 1) (allocated ()) in
+    let op_start = Array.make (w.ops + 1) 0 in
+    for i = 0 to w.ops - 1 do
+      op_start.(i) <- !total;
+      cur := i;
+      run_op rt txn inst i;
+      expected.(i + 1) <- inst.snapshot ();
+      alloc_bytes.(i + 1) <- allocated ()
+    done;
+    op_start.(w.ops) <- !total;
+    let preds = Array.of_list (List.rev !preds) in
+    {
+      op_start;
+      expected;
+      alloc_bytes;
+      mutated =
+        Array.init w.ops (fun i ->
+            (not (Snapshot.equal expected.(i + 1) expected.(i)))
+            || alloc_bytes.(i + 1) <> alloc_bytes.(i));
+      pred_recovery = Array.map fst preds;
+      pred_boundary = Array.map snd preds;
+    }
+  in
+  (observe, run)
 
 (* The operation event [point] belongs to: the last op started at or
    before it. *)
@@ -445,108 +635,96 @@ let op_of_point r point =
   let rec go i = if i = 0 || r.op_start.(i) <= point then i else go (i - 1) in
   go (Array.length r.op_start - 2)
 
-(* One crash pass: replay, die at event [point], reboot, recover, and
-   check the outcome against the oracle's prediction for that point —
-   exact in both directions.  Fresh share-nothing machine per point, so
-   passes can run on worker domains in any order. *)
-let crash_run ~mode ~persist w r spec point =
-  let rt, pool, txn, inst = boot ~mode ~persist w in
-  let phys = Mem.phys (Runtime.mem rt) in
-  let spans = if spec.torn then log_spans rt txn else [] in
-  let rng = Random.State.make [| 0x5eed; spec.seed; point |] in
-  let idx = ref 0 in
-  let kind = ref "" in
-  let torn_injected = ref false in
-  (* A tear at a [Flush_line] targets a still-buffered word: the flush
-     was interrupted mid-line, so the media keeps a byte mix of the
-     word's durable and buffered values.  The poke must wait until
-     after [Persist.crash] has reverted the buffer (an immediate poke
-     would be overwritten by the revert), so it is recorded here and
-     applied after the reboot. *)
-  let torn_later = ref None in
-  Physmem.set_fi_hook phys
-    (Some
-       (fun ev ->
-         let i = !idx in
-         incr idx;
-         if i = point then begin
-           kind := Fi.kind_name ev;
-           (if spec.torn then
-              match ev with
-              | Fi.Pm_store { frame; word_index; old_value; new_value }
-                when not (in_spans spans ~frame ~word_index) ->
-                  let keep_old_bytes = 1 + Random.State.int rng 254 in
-                  Physmem.poke phys ~frame ~word_index
-                    (Fi.torn_word ~keep_old_bytes ~old_value ~new_value);
-                  torn_injected := true
-              | Fi.Flush_line { frame; line } -> (
-                  match
-                    List.filter
-                      (fun (w, _) -> not (in_spans spans ~frame ~word_index:w))
-                      (Persist.buffered_in_line (Runtime.persist rt) ~frame
-                         ~line)
-                  with
-                  | [] -> ()
-                  | words ->
-                      let w, durable =
-                        List.nth words
-                          (Random.State.int rng (List.length words))
-                      in
-                      let keep_old_bytes = 1 + Random.State.int rng 254 in
-                      torn_later :=
-                        Some
-                          ( frame,
-                            w,
-                            Fi.torn_word ~keep_old_bytes ~old_value:durable
-                              ~new_value:
-                                (Physmem.peek phys ~frame ~word_index:w) );
-                      torn_injected := true)
-              | _ -> ());
-           (* Power off: nothing written while unwinding may land. *)
-           Physmem.set_frozen phys true;
-           raise Crash_now
-         end));
-  let crashed = ref false in
-  (try
-     for i = 0 to w.ops - 1 do
-       run_op rt txn inst i
-     done
-   with Crash_now -> crashed := true);
-  Physmem.set_fi_hook phys None;
-  if not !crashed then
-    Fmt.invalid_arg "Faultinject: crash point %d past the last event" point;
-  let op = op_of_point r point in
-  let pred = r.pred_recovery.(point) in
-  let boundary = r.pred_boundary.(point) in
-  let violations = ref [] in
-  let add msg = violations := msg :: !violations in
-  (* Reboot.  crash_and_restart reverts still-buffered words to their
-     durable values and clears the instrumentation hooks along with the
-     rest of the volatile state. *)
-  Runtime.crash_and_restart rt;
-  (match !torn_later with
-  | None -> ()
-  | Some (frame, word_index, torn) -> Physmem.poke phys ~frame ~word_index torn);
-  let pp_recovery ppf = function
-    | Txn.Clean -> Fmt.pf ppf "clean"
-    | Txn.Rolled_back n -> Fmt.pf ppf "rolled back %d" n
-  in
-  let recovery =
-    match
-      ignore (Runtime.open_pool rt "fi");
-      let root = Runtime.get_root rt ~site ~pool in
-      let txn' = Txn.attach rt (Runtime.load_ptr rt ~site root ~off:0) in
-      let recovery =
-        if spec.break_recovery then Txn.Clean else Txn.recover txn'
-      in
-      (recovery, Runtime.load_ptr rt ~site root ~off:8)
-    with
-    | recovery, hdr ->
+let pp_recovery ppf = function
+  | Txn.Clean -> Fmt.pf ppf "clean"
+  | Txn.Rolled_back n -> Fmt.pf ppf "rolled back %d" n
+
+let txn_oracle (w : workload) spec =
+  {
+    name = w.name;
+    ops = w.ops;
+    setup =
+      (fun rt ~pool ~anchor ->
+        let inst = w.setup rt ~pool in
+        (* Under a relaxed model the undo log covers a whole epoch
+           instead of a single operation (a lazy run is one epoch!), so
+           the log gets a much larger arena. *)
+        let txn =
+          if Persist.is_eager (Persist.model (Runtime.persist rt)) then
+            Txn.create rt ~pool ()
+          else Txn.create rt ~pool ~capacity:16384 ()
+        in
+        anchor (Txn.header txn) inst.header;
+        Txn.instrument txn;
+        (txn, inst));
+    reference = txn_reference w;
+    replay =
+      (fun rt (txn, inst) ->
+        for i = 0 to w.ops - 1 do
+          run_op rt txn inst i
+        done);
+    tear =
+      (fun rt (txn, _) ~point ->
+        let phys = Mem.phys (Runtime.mem rt) in
+        let spans = log_spans rt txn in
+        let rng = Random.State.make [| 0x5eed; spec.seed; point |] in
+        function
+        | Fi.Pm_store { frame; word_index; old_value; new_value }
+          when not (in_spans spans ~frame ~word_index) ->
+            let keep_old_bytes = 1 + Random.State.int rng 254 in
+            Physmem.poke phys ~frame ~word_index
+              (Fi.torn_word ~keep_old_bytes ~old_value ~new_value);
+            Some ignore
+        | Fi.Flush_line { frame; line } -> (
+            (* A tear at a [Flush_line] targets a still-buffered word:
+               the flush was interrupted mid-line, so the media keeps a
+               byte mix of the word's durable and buffered values.  The
+               poke must wait until after [Persist.crash] has reverted
+               the buffer (an immediate poke would be overwritten by the
+               revert), so it runs after the reboot. *)
+            match
+              List.filter
+                (fun (w, _) -> not (in_spans spans ~frame ~word_index:w))
+                (Persist.buffered_in_line (Runtime.persist rt) ~frame ~line)
+            with
+            | [] -> None
+            | words ->
+                let w, durable =
+                  List.nth words (Random.State.int rng (List.length words))
+                in
+                let keep_old_bytes = 1 + Random.State.int rng 254 in
+                let torn =
+                  Fi.torn_word ~keep_old_bytes ~old_value:durable
+                    ~new_value:(Physmem.peek phys ~frame ~word_index:w)
+                in
+                Some (fun () -> Physmem.poke phys ~frame ~word_index:w torn))
+        | _ -> None);
+    (* Committed ops in [boundary, op) whose effects died with the
+       epoch.  Read-only ops in the window are not counted: they left
+       nothing behind to lose (which is also why the oracle's
+       log-derived boundary can trail [op] under eager without any
+       effect actually lost). *)
+    locate =
+      (fun r point ->
+        let op = op_of_point r point in
+        let lost = ref 0 in
+        for i = r.pred_boundary.(point) to op - 1 do
+          if r.mutated.(i) then incr lost
+        done;
+        (op, !lost));
+    verdict =
+      (fun r rt ~pool ~point ~add log hdr ->
+        let txn = Txn.attach rt log in
+        let recovery =
+          if spec.break_recovery then Txn.Clean else Txn.recover txn
+        in
         (* The oracle's contract is exact in both directions: the
            observed recovery verdict must be the predicted one, and the
            recovered state must equal the predicted boundary's snapshot
            — losing more than predicted and retaining more than
            predicted are both hard failures. *)
+        let pred = r.pred_recovery.(point) in
+        let boundary = r.pred_boundary.(point) in
         if recovery <> pred then
           add
             (Fmt.str "contract: recovery %a, oracle predicted %a" pp_recovery
@@ -577,104 +755,232 @@ let crash_run ~mode ~persist w r spec point =
                    boundary %d has %Ld"
                   got boundary want)
          with e -> add ("freelist: " ^ Printexc.to_string e));
-        recovery
-    | exception e ->
-        add ("recovery failed: " ^ Printexc.to_string e);
-        Txn.Clean
-  in
-  {
-    point;
-    op;
-    kind = !kind;
-    recovery;
-    (* Committed ops in [boundary, op) whose effects died with the
-       epoch.  Read-only ops in the window are not counted: they left
-       nothing behind to lose (which is also why the oracle's
-       log-derived boundary can trail [op] under eager without any
-       effect actually lost). *)
-    lost_ops =
-      (let n = ref 0 in
-       for i = boundary to op - 1 do
-         if r.mutated.(i) then incr n
-       done;
-       !n);
-    torn_injected = !torn_injected;
-    violations = List.rev !violations;
+        recovery);
   }
 
-(* --- the sweep ---------------------------------------------------------- *)
+let run ?par ?mode ?persist ?(spec = default_spec) ?timing (w : workload) =
+  at_least_1 "--ops" w.ops;
+  sweep ?par ?mode ?persist ?timing spec (txn_oracle w spec)
 
-let points_of r spec =
-  let pts =
-    match spec.at with
-    | [] ->
-        let n = max 1 spec.every_n in
-        List.init ((r.total + n - 1) / n) (fun i -> i * n)
-    | at ->
-        (* An out-of-range index must not silently shrink the sweep to
-           zero passes — fail loudly with the valid range instead. *)
-        List.iter
-          (fun p ->
-            if p < 0 || p >= r.total then
-              Fmt.invalid_arg
-                "faultinject: crash point %d is out of range (this workload \
-                 has events 0..%d)"
-                p (r.total - 1))
-          at;
-        List.sort_uniq compare at
-  in
-  match spec.max_points with
-  | None -> pts
-  | Some m -> List.filteri (fun i _ -> i < m) pts
+(* --- the durable-linearizability oracle --------------------------------- *)
 
-(* Run the sweep.  [par] maps the per-point thunks (share-nothing,
-   order-independent) to their results in submission order — pass
-   [Nvml_exec.Pool.run pool] for a parallel sweep; results are
-   identical to the sequential default. *)
-let run ?(par = List.map (fun f -> f ())) ?(mode = Runtime.Hw)
-    ?(persist = Persist.Eager) ?(spec = default_spec) ?(timing = false) w =
-  (match mode with
-  | Runtime.Volatile ->
-      invalid_arg "Faultinject.run: the Volatile mode has nothing to recover"
-  | _ -> ());
-  (* Crash-point enumeration and recovery verdicts are functional, so
-     the reference pass and every crash pass default to the fast core;
-     [~timing:true] restores cycle-accurate simulation (same report). *)
-  Runtime.with_default_timing timing @@ fun () ->
-  let r = reference ~mode ~persist w in
-  let points = points_of r spec in
-  let outcomes =
-    par (List.map (fun p () -> crash_run ~mode ~persist w r spec p) points)
-  in
-  let count f = List.length (List.filter f outcomes) in
-  let report =
+(* Crash-at-any-event verification for the durably-linearizable
+   concurrent structures on the multi-core machine.  No transactions
+   here: the structures promise crash-resilience by construction
+   (single-word durability points, pre-sized arenas), and the oracle is
+   Khyzha & Lahav's crash-resilient-object criterion — after a crash at
+   any enumerated persistence event of any core, the recovered state
+   must sit between the completed and the invoked operation sets:
+
+     - recovered counter value within [sum completed, sum invoked];
+     - per core, the recovered list keys are exactly a prefix of that
+       core's insertion order, with length within
+       [completed_c, invoked_c].
+
+   The reference pass runs the seeded interleaving once, recording at
+   every persistence event which operations each core had invoked and
+   completed; each crash pass replays the identical schedule (same
+   scheduler seed, share-nothing machine) and kills the power at one
+   event.  There is no log to roll back, so every point reports
+   [Clean]; its [lost_ops] are the completed counter increments the
+   predicted durable counter no longer holds. *)
+
+module Conc_workload = Nvml_structures.Conc_workload
+module Conc_counter = Nvml_structures.Conc_counter
+module Conc_list = Nvml_structures.Conc_list
+
+(* Per-core invoked/completed counts for both structures — the marker
+   state snapshotted at every persistence event. *)
+type conc_marks = {
+  ctr_invoked : int array;
+  ctr_done : int array;
+  list_invoked : int array;
+  list_done : int array;
+}
+
+let copy_marks m =
+  {
+    ctr_invoked = Array.copy m.ctr_invoked;
+    ctr_done = Array.copy m.ctr_done;
+    list_invoked = Array.copy m.list_invoked;
+    list_done = Array.copy m.list_done;
+  }
+
+let mark_of m ~core = function
+  | Conc_workload.Ctr_invoke -> m.ctr_invoked.(core) <- m.ctr_invoked.(core) + 1
+  | Conc_workload.Ctr_done -> m.ctr_done.(core) <- m.ctr_done.(core) + 1
+  | Conc_workload.List_invoke ->
+      m.list_invoked.(core) <- m.list_invoked.(core) + 1
+  | Conc_workload.List_done -> m.list_done.(core) <- m.list_done.(core) + 1
+
+type conc_ref = {
+  marks : conc_marks array;  (* invoked/completed state per event *)
+  pred_counter : int64 array;  (* oracle: exact recovered counter value *)
+  pred_keys : int64 list array;  (* oracle: exact recovered chain, newest first *)
+}
+
+(* A reader that resolves byte offsets within a structure's header
+   object to the *durable* value of that word — what the media would
+   retain on a crash right now.  Valid only while the mapping is live
+   (the reference pass). *)
+let durable_reader rt header =
+  let base = Xlate.ra2va (Runtime.xlate rt) header in
+  let p = Runtime.persist rt in
+  let mem = Runtime.mem rt in
+  fun off ->
+    let pa = Mem.translate_pa_exn mem (Int64.add base (Int64.of_int off)) in
+    Persist.durable_value p
+      ~frame:(pa lsr Layout.page_shift)
+      ~word_index:((pa land (Layout.page_size - 1)) lsr 3)
+
+let sum = Array.fold_left ( + ) 0
+
+(* The hook fires *before* the event's effect, so both the
+   invoked/completed snapshot and the durable-value walk describe the
+   exact state a crash at that event would expose.  The durable walk
+   is the contract oracle: under a relaxed model it predicts the
+   precise post-crash counter value and chain — including mid-drain
+   states where a drained head pointer reaches not-yet-drained (still
+   zero) slots. *)
+let conc_reference ~cores rt ~pool:_ s =
+  let m =
     {
-      workload = w.name;
-      persist = Persist.model_name persist;
-      ops = w.ops;
-      events = r.total;
-      tally = r.ref_tally;
-      outcomes;
-      clean = count (fun o -> o.recovery = Txn.Clean);
-      rolled_back =
-        count (fun o -> match o.recovery with Txn.Rolled_back _ -> true | _ -> false);
-      suffix_lost = count (fun o -> o.lost_ops > 0);
-      torn_injected = count (fun o -> o.torn_injected);
-      violations =
-        List.concat_map
-          (fun o -> List.map (fun v -> (o.point, v)) o.violations)
-          outcomes;
+      ctr_invoked = Array.make cores 0;
+      ctr_done = Array.make cores 0;
+      list_invoked = Array.make cores 0;
+      list_done = Array.make cores 0;
     }
   in
-  if Telemetry.enabled () then begin
-    Telemetry.add c_points (List.length report.outcomes);
-    Telemetry.add c_clean report.clean;
-    Telemetry.add c_rolled_back report.rolled_back;
-    Telemetry.add c_suffix_lost report.suffix_lost;
-    Telemetry.add c_torn report.torn_injected;
-    Telemetry.add c_violations (List.length report.violations)
-  end;
-  report
+  let list_hdr = Conc_list.header s.Conc_workload.list in
+  let list_cap = Conc_list.capacity s.Conc_workload.list in
+  let read_ctr = durable_reader rt (Conc_counter.header s.Conc_workload.counter) in
+  let read_list = durable_reader rt list_hdr in
+  let snaps = ref [] and preds = ref [] in
+  let observe _ =
+    snaps := copy_marks m :: !snaps;
+    preds :=
+      ( Conc_counter.value_via ~cells:cores read_ctr,
+        Conc_list.keys_via ~capacity:list_cap ~header:list_hdr read_list )
+      :: !preds
+  in
+  let run () =
+    Conc_workload.run ~mark:(fun ~core ~op:_ phase -> mark_of m ~core phase) s;
+    let preds = Array.of_list (List.rev !preds) in
+    {
+      marks = Array.of_list (List.rev !snaps);
+      pred_counter = Array.map fst preds;
+      pred_keys = Array.map snd preds;
+    }
+  in
+  (observe, run)
+
+let conc_oracle ~cores ~ops_per_core ~seed =
+  {
+    name = Fmt.str "conc-%dcore" cores;
+    ops = cores * ops_per_core;
+    setup =
+      (fun rt ~pool ~anchor ->
+        let s =
+          Conc_workload.setup ~sched_seed:seed ~cores ~ops_per_core rt ~pool
+        in
+        anchor
+          (Conc_counter.header s.Conc_workload.counter)
+          (Conc_list.header s.Conc_workload.list);
+        s);
+    reference = conc_reference ~cores;
+    replay = (fun _ s -> Conc_workload.run s);
+    tear = (fun _ _ ~point:_ _ -> None);
+    locate =
+      (fun r point ->
+        let m = r.marks.(point) in
+        ( sum m.list_done,
+          max 0 (sum m.ctr_done - Int64.to_int r.pred_counter.(point)) ));
+    verdict =
+      (fun r rt ~pool:_ ~point ~add ctr_hdr list_hdr ->
+        let ctr = Conc_counter.attach rt ctr_hdr in
+        let lst = Conc_list.attach rt list_hdr in
+        if Conc_counter.cells ctr <> cores then
+          add
+            (Fmt.str "counter header: %d cells, expected %d"
+               (Conc_counter.cells ctr) cores);
+        (* Contract oracle: the recovered state must be byte-exact what
+           the durable-value walk at this event predicted — under every
+           model.  Retaining more than predicted is as much a failure
+           as losing more. *)
+        let v = Conc_counter.recovered_value rt ctr in
+        if v <> r.pred_counter.(point) then
+          add
+            (Fmt.str "contract: counter recovered %Ld, oracle predicted %Ld" v
+               r.pred_counter.(point));
+        (match Conc_list.recovered_keys rt lst with
+        | exception e -> add ("list walk: " ^ Printexc.to_string e)
+        | keys ->
+            if keys <> r.pred_keys.(point) then
+              add
+                (Fmt.str
+                   "contract: list recovered [%a], oracle predicted [%a]"
+                   Fmt.(list ~sep:semi int64)
+                   keys
+                   Fmt.(list ~sep:semi int64)
+                   r.pred_keys.(point));
+            (* The durable-linearizability bounds additionally hold
+               under the eager model (under a relaxed model a drained
+               head may legitimately reach not-yet-drained slots, so
+               the chain is checked only against the oracle's exact
+               prediction). *)
+            if Persist.is_eager (Persist.model (Runtime.persist rt)) then begin
+              let snap = r.marks.(point) in
+              let v = Int64.to_int v in
+              let lo = sum snap.ctr_done and hi = sum snap.ctr_invoked in
+              if v < lo || v > hi then
+                add
+                  (Fmt.str
+                     "counter: recovered %d, outside [completed %d, invoked \
+                      %d]"
+                     v lo hi);
+              let per_core = Array.make cores [] in
+              List.iter
+                (fun k ->
+                  let c, j = Conc_workload.decode_key k in
+                  if c < 0 || c >= cores || j < 0 || j >= ops_per_core then
+                    add (Fmt.str "list: foreign key %Lx" k)
+                  else per_core.(c) <- j :: per_core.(c))
+                keys;
+              for c = 0 to cores - 1 do
+                let js = List.sort compare per_core.(c) in
+                let n = List.length js in
+                if js <> List.init n Fun.id then
+                  add
+                    (Fmt.str "list: core %d keys are not a prefix of its order"
+                       c)
+                else if n < snap.list_done.(c) || n > snap.list_invoked.(c)
+                then
+                  add
+                    (Fmt.str
+                       "list: core %d recovered %d inserts, outside \
+                        [completed %d, invoked %d]"
+                       c n snap.list_done.(c) snap.list_invoked.(c))
+              done
+            end);
+        Txn.Clean);
+  }
+
+let run_conc ~cores ~ops_per_core ?par ?mode ?persist ?(spec = default_spec)
+    ?timing () =
+  at_least_1 "--cores" cores;
+  at_least_1 "--ops" ops_per_core;
+  (* The concurrent structures keep no undo log that could heal a torn
+     word, and recover by construction with no step to skip. *)
+  if spec.torn then
+    invalid_arg
+      "faultinject: --torn does not apply to the conc workload (it has no \
+       undo log to heal a torn word)";
+  if spec.break_recovery then
+    invalid_arg
+      "faultinject: --break-recovery does not apply to the conc workload (it \
+       has no recovery step to skip)";
+  sweep ?par ?mode ?persist ?timing spec
+    (conc_oracle ~cores ~ops_per_core ~seed:spec.seed)
 
 (* --- rendering ---------------------------------------------------------- *)
 
@@ -705,326 +1011,9 @@ let pp_report ppf r =
       List.iter
         (fun (o : outcome) ->
           if o.violations <> [] then
-            Fmt.pf ppf "@,    point %d (op %d, at %s, %s):%a" o.point o.op
-              o.kind
-              (match o.recovery with
-              | Txn.Clean -> "clean"
-              | Txn.Rolled_back n -> Fmt.str "rolled back %d" n)
+            Fmt.pf ppf "@,    point %d (op %d, at %s, %a):%a" o.point o.op
+              o.kind pp_recovery o.recovery
               (Fmt.list ~sep:Fmt.nop (fun ppf v -> Fmt.pf ppf "@,      %s" v))
               o.violations)
         r.outcomes);
-  Fmt.pf ppf "@]"
-
-(* --- multi-core durability sweep ---------------------------------------- *)
-
-(* Crash-at-any-event verification for the durably-linearizable
-   concurrent structures on the multi-core machine.  No transactions
-   here: the structures promise crash-resilience by construction
-   (single-word durability points, pre-sized arenas), and the oracle is
-   Khyzha & Lahav's crash-resilient-object criterion — after a crash at
-   any enumerated persistence event of any core, the recovered state
-   must sit between the completed and the invoked operation sets:
-
-     - recovered counter value within [sum completed, sum invoked];
-     - per core, the recovered list keys are exactly a prefix of that
-       core's insertion order, with length within
-       [completed_c, invoked_c].
-
-   The reference pass runs the seeded interleaving once, recording at
-   every persistence event which operations each core had invoked and
-   completed; each crash pass replays the identical schedule (same
-   scheduler seed, share-nothing machine) and kills the power at one
-   event. *)
-
-module Cluster = Nvml_runtime.Cluster
-module Conc_workload = Nvml_structures.Conc_workload
-module Conc_counter = Nvml_structures.Conc_counter
-module Conc_list = Nvml_structures.Conc_list
-
-type conc_spec = {
-  cores : int;
-  ops_per_core : int;
-  sched_seed : int;  (* drives the µ-event interleaving *)
-  conc_every_n : int;
-  conc_max_points : int option;
-}
-
-let default_conc_spec =
-  {
-    cores = 2;
-    ops_per_core = 8;
-    sched_seed = 1;
-    conc_every_n = 1;
-    conc_max_points = None;
-  }
-
-type conc_outcome = {
-  conc_point : int;
-  conc_kind : string;
-  conc_violations : string list;
-}
-
-type conc_report = {
-  conc_cores : int;
-  conc_ops : int;  (* total operations = cores * ops_per_core *)
-  conc_events : int;
-  conc_outcomes : conc_outcome list;
-  conc_violation_list : (int * string) list;
-}
-
-(* Per-core invoked/completed counts for both structures — the marker
-   state snapshotted at every persistence event. *)
-type conc_marks = {
-  ctr_invoked : int array;
-  ctr_done : int array;
-  list_invoked : int array;
-  list_done : int array;
-}
-
-let copy_marks m =
-  {
-    ctr_invoked = Array.copy m.ctr_invoked;
-    ctr_done = Array.copy m.ctr_done;
-    list_invoked = Array.copy m.list_invoked;
-    list_done = Array.copy m.list_done;
-  }
-
-let conc_boot ~mode ~persist spec =
-  let rt = Runtime.create ~mode ~persist () in
-  let pool = Runtime.create_pool rt ~name:"conc" ~size:pool_size in
-  let s =
-    Conc_workload.setup ~sched_seed:spec.sched_seed ~cores:spec.cores
-      ~ops_per_core:spec.ops_per_core rt ~pool
-  in
-  (* Anchor both structure headers in a root block, as an application
-     would, so recovery can find them after the pool re-opens at a
-     skewed base. *)
-  let root = Runtime.alloc rt ~pool ~persistent:true 16 in
-  Runtime.store_ptr rt ~site root ~off:0
-    (Conc_counter.header s.Conc_workload.counter);
-  Runtime.store_ptr rt ~site root ~off:8
-    (Conc_list.header s.Conc_workload.list);
-  Runtime.set_root rt ~site ~pool root;
-  (* Setup becomes durable before the fi hook installs, so reference
-     and crash passes count identical event schedules. *)
-  Runtime.persist_sync rt;
-  (rt, pool, s)
-
-let mark_of m ~core = function
-  | Conc_workload.Ctr_invoke -> m.ctr_invoked.(core) <- m.ctr_invoked.(core) + 1
-  | Conc_workload.Ctr_done -> m.ctr_done.(core) <- m.ctr_done.(core) + 1
-  | Conc_workload.List_invoke ->
-      m.list_invoked.(core) <- m.list_invoked.(core) + 1
-  | Conc_workload.List_done -> m.list_done.(core) <- m.list_done.(core) + 1
-
-type conc_ref = {
-  conc_total : int;
-  marks : conc_marks array;  (* invoked/completed state per event *)
-  pred_counter : int64 array;  (* oracle: exact recovered counter value *)
-  pred_keys : int64 list array;  (* oracle: exact recovered chain, newest first *)
-}
-
-(* A reader that resolves byte offsets within a structure's header
-   object to the *durable* value of that word — what the media would
-   retain on a crash right now.  Valid only while the mapping is live
-   (the reference pass). *)
-let durable_reader rt header =
-  let base = Xlate.ra2va (Runtime.xlate rt) header in
-  let p = Runtime.persist rt in
-  let mem = Runtime.mem rt in
-  fun off ->
-    let pa = Mem.translate_pa_exn mem (Int64.add base (Int64.of_int off)) in
-    Persist.durable_value p
-      ~frame:(pa lsr Layout.page_shift)
-      ~word_index:((pa land (Layout.page_size - 1)) lsr 3)
-
-let conc_reference ~mode ~persist spec =
-  let rt, _pool, s = conc_boot ~mode ~persist spec in
-  let phys = Mem.phys (Runtime.mem rt) in
-  let m =
-    {
-      ctr_invoked = Array.make spec.cores 0;
-      ctr_done = Array.make spec.cores 0;
-      list_invoked = Array.make spec.cores 0;
-      list_done = Array.make spec.cores 0;
-    }
-  in
-  let ctr_hdr = Conc_counter.header s.Conc_workload.counter in
-  let list_hdr = Conc_list.header s.Conc_workload.list in
-  let list_cap = Conc_list.capacity s.Conc_workload.list in
-  let read_ctr = durable_reader rt ctr_hdr in
-  let read_list = durable_reader rt list_hdr in
-  let snaps = ref [] in
-  let preds = ref [] in
-  let total = ref 0 in
-  (* The hook fires *before* the event's effect, so both the
-     invoked/completed snapshot and the durable-value walk describe the
-     exact state a crash at that event would expose.  The durable walk
-     is the contract oracle: under a relaxed model it predicts the
-     precise post-crash counter value and chain — including mid-drain
-     states where a drained head pointer reaches not-yet-drained
-     (still zero) slots. *)
-  Physmem.set_fi_hook phys
-    (Some
-       (fun _ev ->
-         snaps := copy_marks m :: !snaps;
-         preds :=
-           ( Conc_counter.value_via ~cells:spec.cores read_ctr,
-             Conc_list.keys_via ~capacity:list_cap ~header:list_hdr read_list )
-           :: !preds;
-         incr total));
-  Conc_workload.run ~mark:(fun ~core ~op:_ phase -> mark_of m ~core phase) s;
-  Physmem.set_fi_hook phys None;
-  let preds = Array.of_list (List.rev !preds) in
-  {
-    conc_total = !total;
-    marks = Array.of_list (List.rev !snaps);
-    pred_counter = Array.map fst preds;
-    pred_keys = Array.map snd preds;
-  }
-
-let sum = Array.fold_left ( + ) 0
-
-let conc_crash_run ~mode ~persist spec (cref : conc_ref) point =
-  let rt, pool, s = conc_boot ~mode ~persist spec in
-  let phys = Mem.phys (Runtime.mem rt) in
-  let idx = ref 0 in
-  let kind = ref "" in
-  Physmem.set_fi_hook phys
-    (Some
-       (fun ev ->
-         let i = !idx in
-         incr idx;
-         if i = point then begin
-           kind := Fi.kind_name ev;
-           (* Power off: nothing written while unwinding may land. *)
-           Physmem.set_frozen phys true;
-           raise Crash_now
-         end));
-  let crashed = ref false in
-  (try Conc_workload.run s with Crash_now -> crashed := true);
-  Physmem.set_fi_hook phys None;
-  if not !crashed then
-    Fmt.invalid_arg "Faultinject: conc crash point %d past the last event"
-      point;
-  let snap = cref.marks.(point) in
-  let violations = ref [] in
-  let add msg = violations := msg :: !violations in
-  Runtime.crash_and_restart rt;
-  (try
-     ignore (Runtime.open_pool rt "conc");
-     let root = Runtime.get_root rt ~site ~pool in
-     let ctr = Conc_counter.attach rt (Runtime.load_ptr rt ~site root ~off:0) in
-     let lst = Conc_list.attach rt (Runtime.load_ptr rt ~site root ~off:8) in
-     if Conc_counter.cells ctr <> spec.cores then
-       add
-         (Fmt.str "counter header: %d cells, expected %d"
-            (Conc_counter.cells ctr) spec.cores);
-     (* Contract oracle: the recovered state must be byte-exact what
-        the durable-value walk at this event predicted — under every
-        model.  Retaining more than predicted is as much a failure as
-        losing more. *)
-     let v = Conc_counter.recovered_value rt ctr in
-     if v <> cref.pred_counter.(point) then
-       add
-         (Fmt.str "contract: counter recovered %Ld, oracle predicted %Ld" v
-            cref.pred_counter.(point));
-     (match Conc_list.recovered_keys rt lst with
-     | exception e -> add ("list walk: " ^ Printexc.to_string e)
-     | keys ->
-         if keys <> cref.pred_keys.(point) then
-           add
-             (Fmt.str
-                "contract: list recovered [%a], oracle predicted [%a]"
-                Fmt.(list ~sep:semi int64)
-                keys
-                Fmt.(list ~sep:semi int64)
-                cref.pred_keys.(point));
-         (* The durable-linearizability bounds additionally hold under
-            the eager model (under a relaxed model a drained head may
-            legitimately reach not-yet-drained slots, so the chain is
-            checked only against the oracle's exact prediction). *)
-         if Persist.is_eager persist then begin
-           let v = Int64.to_int v in
-           let lo = sum snap.ctr_done and hi = sum snap.ctr_invoked in
-           if v < lo || v > hi then
-             add
-               (Fmt.str
-                  "counter: recovered %d, outside [completed %d, invoked %d]"
-                  v lo hi);
-           let per_core = Array.make spec.cores [] in
-           List.iter
-             (fun k ->
-               let c, j = Conc_workload.decode_key k in
-               if c < 0 || c >= spec.cores || j < 0 || j >= spec.ops_per_core
-               then add (Fmt.str "list: foreign key %Lx" k)
-               else per_core.(c) <- j :: per_core.(c))
-             keys;
-           for c = 0 to spec.cores - 1 do
-             let js = List.sort compare per_core.(c) in
-             let n = List.length js in
-             if js <> List.init n Fun.id then
-               add
-                 (Fmt.str "list: core %d keys are not a prefix of its order" c)
-             else if n < snap.list_done.(c) || n > snap.list_invoked.(c) then
-               add
-                 (Fmt.str
-                    "list: core %d recovered %d inserts, outside [completed \
-                     %d, invoked %d]"
-                    c n snap.list_done.(c) snap.list_invoked.(c))
-           done
-         end)
-   with e -> add ("recovery failed: " ^ Printexc.to_string e));
-  { conc_point = point; conc_kind = !kind; conc_violations = List.rev !violations }
-
-let run_conc ?(par = List.map (fun f -> f ())) ?(mode = Runtime.Hw)
-    ?(persist = Persist.Eager) ?(spec = default_conc_spec) ?(timing = false) ()
-    =
-  (match mode with
-  | Runtime.Volatile ->
-      invalid_arg "Faultinject.run_conc: the Volatile mode has nothing to recover"
-  | _ -> ());
-  if spec.cores < 1 then invalid_arg "Faultinject.run_conc: cores must be >= 1";
-  Runtime.with_default_timing timing @@ fun () ->
-  let cref = conc_reference ~mode ~persist spec in
-  let total = cref.conc_total in
-  let points =
-    let n = max 1 spec.conc_every_n in
-    let pts = List.init ((total + n - 1) / n) (fun i -> i * n) in
-    match spec.conc_max_points with
-    | None -> pts
-    | Some m -> List.filteri (fun i _ -> i < m) pts
-  in
-  let outcomes =
-    par (List.map (fun p () -> conc_crash_run ~mode ~persist spec cref p) points)
-  in
-  let report =
-    {
-      conc_cores = spec.cores;
-      conc_ops = spec.cores * spec.ops_per_core;
-      conc_events = total;
-      conc_outcomes = outcomes;
-      conc_violation_list =
-        List.concat_map
-          (fun o -> List.map (fun v -> (o.conc_point, v)) o.conc_violations)
-          outcomes;
-    }
-  in
-  if Telemetry.enabled () then begin
-    Telemetry.add c_points (List.length report.conc_outcomes);
-    Telemetry.add c_violations (List.length report.conc_violation_list)
-  end;
-  report
-
-let pp_conc_report ppf r =
-  Fmt.pf ppf "@[<v>";
-  Fmt.pf ppf
-    "conc workload: %d cores, %d ops, %d events, seeded interleaving@,"
-    r.conc_cores r.conc_ops r.conc_events;
-  Fmt.pf ppf "  %d crash points" (List.length r.conc_outcomes);
-  (match r.conc_violation_list with
-  | [] -> Fmt.pf ppf ", no durability violations"
-  | vs ->
-      Fmt.pf ppf ", %d VIOLATIONS:" (List.length vs);
-      List.iter (fun (p, v) -> Fmt.pf ppf "@,    point %d: %s" p v) vs);
   Fmt.pf ppf "@]"

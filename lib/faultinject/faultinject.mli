@@ -1,14 +1,18 @@
 (** Systematic crash-point fault injection for the persistence stack.
 
-    A reference pass counts every persistence-relevant event
-    ({!Nvml_simmem.Fi.event}) of a workload and snapshots the structure
-    at every operation boundary; then each chosen event index is
+    One engine runs every sweep.  A reference pass counts every
+    persistence-relevant event ({!Nvml_simmem.Fi.event}) of a workload
+    while an oracle watches it; then each chosen event index is
     replayed on a fresh machine that loses power exactly there (the
     interrupted store never lands, the media freezes, DRAM and all
-    mappings vanish).  After reboot, pool re-open and [Txn.recover],
-    the checker validates recovery status, structural invariants,
-    pointer reachability, atomicity against the pre/post-transaction
-    snapshots, and persistent-freelist consistency.
+    mappings vanish).  After reboot and pool re-open the oracle
+    recovers and checks.  Two oracles plug into the engine.
+
+    The transactional oracle ({!run}) snapshots the structure at every
+    operation boundary; after [Txn.recover] it validates recovery
+    status, structural invariants, pointer reachability, atomicity
+    against the pre/post-transaction snapshots, and
+    persistent-freelist consistency.
 
     Operations run under [Txn.instrument]: plain [Runtime.store_*]
     calls in legacy structure code are undo-logged transparently, so
@@ -22,7 +26,10 @@
     equal (the legitimately lost op suffix).  Crash passes then check
     the observation against the prediction in both directions — losing
     more than predicted and retaining more than predicted are both
-    hard violations. *)
+    hard violations.
+
+    The durable-linearizability oracle ({!run_conc}) checks the
+    concurrent structures of the multi-core machine. *)
 
 module Runtime = Nvml_runtime.Runtime
 module Persist = Nvml_runtime.Persist
@@ -58,7 +65,8 @@ val kv_workload :
 (** {1 Sweep specification} *)
 
 type spec = {
-  every_n : int;  (** crash at events [0, n, 2n, ...] when [at] is empty *)
+  every_n : int;
+      (** crash at events [0, n, 2n, ...] when [at] is empty; at least 1 *)
   at : int list;
       (** explicit event indices; an out-of-range index raises
           [Invalid_argument] naming the valid range rather than
@@ -67,8 +75,10 @@ type spec = {
       (** additionally tear the interrupted word (seeded byte mix of
           old/new) — except undo-log words, which the log protocol's
           8-byte-atomicity assumption covers *)
-  seed : int;  (** drives the torn byte masks *)
-  max_points : int option;  (** bound the sweep (for smoke runs) *)
+  seed : int;  (** drives the torn byte masks, and the conc schedule *)
+  max_points : int option;
+      (** bound the sweep (for smoke runs); [Some 0] runs the reference
+          pass alone *)
   break_recovery : bool;
       (** checker self-test: skip [Txn.recover] after the crash and
           let the checker prove it notices *)
@@ -91,13 +101,16 @@ type tally = {
 type outcome = {
   point : int;
   op : int;
+      (** the operation the event belonged to; for {!run_conc}, the
+          number of operations all cores had completed *)
   kind : string;
-  recovery : Txn.recovery;
+  recovery : Txn.recovery;  (** always [Clean] for {!run_conc}: no log *)
   lost_ops : int;
       (** committed {e mutating} operations whose effects the
           persistency model legitimately let die at this point —
-          read-only ops leave nothing to lose and are not counted
-          (always 0 under eager) *)
+          read-only ops leave nothing to lose and are not counted; for
+          {!run_conc}, the completed counter increments the predicted
+          durable counter no longer holds (always 0 under eager) *)
   torn_injected : bool;
   violations : string list;
 }
@@ -133,70 +146,36 @@ val run :
     to [false]: crash-point enumeration and recovery verdicts are
     functional, so the sweep uses fast functional simulation; pass
     [true] for the cycle-accurate core (identical report, slower).
-    @raise Invalid_argument for [Volatile] mode or an out-of-range
-    [spec.at] index. *)
+    @raise Invalid_argument for [Volatile] mode, an out-of-range
+    [spec.at] index, [spec.every_n < 1] or a workload of fewer than one
+    operation. *)
+
+val run_conc :
+  cores:int ->
+  ops_per_core:int ->
+  ?par:((unit -> outcome) list -> outcome list) ->
+  ?mode:Runtime.mode ->
+  ?persist:Persist.model ->
+  ?spec:spec ->
+  ?timing:bool ->
+  unit ->
+  report
+(** The same sweep over the durably-linearizable concurrent structures
+    ([Conc_counter], [Conc_list]) on the [cores]-core machine, each
+    core running [ops_per_core] operations of the schedule
+    [spec.seed] drives.  The oracle is the crash-resilient-object
+    criterion: the recovered counter and chain must equal the
+    durable-value walk's prediction at every point, and under [Eager]
+    the state must also lie between the completed and the invoked
+    operation sets (counter value within [sum completed, sum invoked];
+    per-core list contents an insertion-order prefix of length within
+    the same bounds).
+    @raise Invalid_argument as {!run}, for [cores < 1] or
+    [ops_per_core < 1], and for [spec.torn] or [spec.break_recovery]:
+    there is no undo log to heal a tear and no recovery step to skip. *)
 
 val pp_tally : tally Fmt.t
 
 val pp_report : report Fmt.t
 (** Multi-line summary inside a vertical box: counts per event kind,
     recovery totals, and every violation with its crash point. *)
-
-(** {1 Multi-core durability sweep}
-
-    Crash-at-any-event verification for the durably-linearizable
-    concurrent structures ([Conc_counter], [Conc_list]) on the
-    multi-core machine.  No transactions: the oracle is the
-    crash-resilient-object criterion — after a crash at any enumerated
-    persistence event of any core, the recovered state must lie
-    between the completed and the invoked operation sets (counter
-    value within [sum completed, sum invoked]; per-core list contents
-    an insertion-order prefix of length within the same bounds).  The
-    reference pass records the seeded interleaving's invoked/completed
-    state at every event; each crash pass replays the identical
-    schedule on a share-nothing machine. *)
-
-type conc_spec = {
-  cores : int;
-  ops_per_core : int;
-  sched_seed : int;  (** drives the µ-event interleaving *)
-  conc_every_n : int;  (** crash at events [0, n, 2n, ...] *)
-  conc_max_points : int option;  (** bound the sweep (for smoke runs) *)
-}
-
-val default_conc_spec : conc_spec
-(** 2 cores, 8 ops per core, scheduler seed 1, every event. *)
-
-type conc_outcome = {
-  conc_point : int;
-  conc_kind : string;
-  conc_violations : string list;
-}
-
-type conc_report = {
-  conc_cores : int;
-  conc_ops : int;
-  conc_events : int;
-  conc_outcomes : conc_outcome list;  (** in event-index order *)
-  conc_violation_list : (int * string) list;
-}
-
-val run_conc :
-  ?par:((unit -> conc_outcome) list -> conc_outcome list) ->
-  ?mode:Runtime.mode ->
-  ?persist:Persist.model ->
-  ?spec:conc_spec ->
-  ?timing:bool ->
-  unit ->
-  conc_report
-(** Run the multi-core sweep.  Same parallelism and determinism
-    contract as {!run}: crash passes are share-nothing, so [par] may
-    run them on worker domains with results identical to the
-    sequential default ([--jobs N == --jobs 1]).  Under a relaxed
-    [persist] model the per-core epochs drain through the shared
-    buffer, and the recovered counter/chain must equal the oracle's
-    durable-value prediction at every point (the durable-linearizability
-    bounds are additionally enforced under [Eager]).
-    @raise Invalid_argument for [Volatile] mode. *)
-
-val pp_conc_report : conc_report Fmt.t

@@ -179,31 +179,58 @@ let test_validation () =
 
 (* --- the multi-core durability sweep ------------------------------------- *)
 
-let conc_spec =
-  {
-    Faultinject.default_conc_spec with
-    Faultinject.cores = 2;
-    ops_per_core = 4;
-  }
+let sweep ?par ?persist ?spec () =
+  Faultinject.run_conc ~cores:2 ~ops_per_core:4 ?par ?persist ?spec ()
 
 let test_faultinject_conc () =
-  let r = Faultinject.run_conc ~spec:conc_spec () in
-  check_int "cores" 2 r.Faultinject.conc_cores;
-  check_bool "events enumerated" true (r.Faultinject.conc_events > 0);
-  check_int "every event crashed" r.Faultinject.conc_events
-    (List.length r.Faultinject.conc_outcomes);
+  let r = sweep () in
+  Alcotest.(check string) "two cores" "conc-2core" r.Faultinject.workload;
+  check_bool "events enumerated" true (r.Faultinject.events > 0);
+  check_int "every event crashed" r.Faultinject.events
+    (List.length r.Faultinject.outcomes);
+  check_int "every point recovers clean" r.Faultinject.events
+    r.Faultinject.clean;
   check_int "zero durability violations" 0
-    (List.length r.Faultinject.conc_violation_list)
+    (List.length r.Faultinject.violations)
 
 let test_faultinject_conc_jobs () =
-  let seq = Faultinject.run_conc ~spec:conc_spec () in
+  let seq = sweep () in
   let pool = Pool.create ~jobs:4 () in
   let par =
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Faultinject.run_conc ~par:(Pool.run pool) ~spec:conc_spec ())
+      (fun () -> sweep ~par:(Pool.run pool) ())
   in
   check_bool "jobs 4 == jobs 1" true (seq = par)
+
+(* [at] crashes exactly at the listed points, through the same point
+   selection as the transactional sweep. *)
+let test_faultinject_conc_at () =
+  let spec = { Faultinject.default_spec with at = [ 17; 0; 5 ] } in
+  let r = sweep ~spec () in
+  Alcotest.(check (list int))
+    "only the listed points" [ 0; 5; 17 ]
+    (List.map (fun (o : Faultinject.outcome) -> o.point) r.Faultinject.outcomes);
+  check_int "no violations" 0 (List.length r.Faultinject.violations);
+  let last = r.Faultinject.events - 1 in
+  Alcotest.check_raises "out of range"
+    (Invalid_argument
+       (Fmt.str
+          "faultinject: crash point %d is out of range (this workload has \
+           events 0..%d)"
+          (last + 1) last))
+    (fun () ->
+      ignore
+        (sweep ~spec:{ Faultinject.default_spec with at = [ last + 1 ] } ()))
+
+(* Eager persistence loses no completed operation at any point. *)
+let test_faultinject_conc_eager () =
+  let r = sweep () in
+  check_int "suffix_lost" 0 r.Faultinject.suffix_lost;
+  check_bool "lost_ops all 0" true
+    (List.for_all
+       (fun (o : Faultinject.outcome) -> o.lost_ops = 0)
+       r.Faultinject.outcomes)
 
 (* --- schedule enumeration through the model checker ---------------------- *)
 
@@ -233,6 +260,10 @@ let () =
         [
           Alcotest.test_case "crash at every event" `Slow test_faultinject_conc;
           Alcotest.test_case "jobs determinism" `Slow test_faultinject_conc_jobs;
+          Alcotest.test_case "crash at listed points" `Quick
+            test_faultinject_conc_at;
+          Alcotest.test_case "eager loses nothing" `Quick
+            test_faultinject_conc_eager;
           Alcotest.test_case "modelcheck conc" `Slow test_modelcheck_conc;
         ] );
     ]

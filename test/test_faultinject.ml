@@ -5,6 +5,7 @@
 
 module Fi = Nvml_simmem.Fi
 module Txn = Nvml_runtime.Txn
+module Persist = Nvml_runtime.Persist
 module F = Nvml_faultinject.Faultinject
 module Pool = Nvml_exec.Pool
 
@@ -110,6 +111,67 @@ let test_jobs_determinism () =
     (seq.F.outcomes = par.F.outcomes);
   check_bool "identical reports" true (seq = par)
 
+(* --- golden pins ---------------------------------------------------------- *)
+
+(* Event schedules, tallies and verdicts of four fixed sweeps: two
+   through the transactional oracle (torn, eager and epoch:4) and two
+   through the durable-linearizability oracle.  A change to the shared
+   engine must keep every value. *)
+let pins (r : F.report) =
+  let t = r.F.tally in
+  [
+    ("events", r.F.events);
+    ("pm_stores", t.F.pm_stores);
+    ("storeps", t.F.storeps);
+    ("log_appends", t.F.log_appends);
+    ("meta_writes", t.F.meta_writes);
+    ("flushes", t.F.flushes);
+    ("fences", t.F.fences);
+    ("points", List.length r.F.outcomes);
+    ("clean", r.F.clean);
+    ("rolled_back", r.F.rolled_back);
+    ("suffix_lost", r.F.suffix_lost);
+    ("torn_injected", r.F.torn_injected);
+    ("violations", List.length r.F.violations);
+  ]
+
+let check_pins name want r =
+  Alcotest.(check (list (pair string int)))
+    name want
+    (List.filter (fun (k, _) -> List.mem_assoc k want) (pins r))
+
+let test_golden_pins () =
+  let epoch4 = Persist.Epoch { interval = 4 } in
+  check_pins "counter, torn"
+    [
+      ("events", 57); ("pm_stores", 48); ("storeps", 0); ("log_appends", 9);
+      ("meta_writes", 0); ("flushes", 0); ("fences", 0); ("points", 57);
+      ("clean", 6); ("rolled_back", 51); ("suffix_lost", 0);
+      ("torn_injected", 9); ("violations", 0);
+    ]
+    (F.run
+       ~spec:{ F.default_spec with torn = true; seed = 3 }
+       (F.counter_workload ~ops:3 ()));
+  check_pins "kv RB, epoch:4, torn"
+    [
+      ("events", 364); ("pm_stores", 244); ("storeps", 28);
+      ("log_appends", 58); ("meta_writes", 14); ("flushes", 17);
+      ("fences", 3); ("points", 364); ("clean", 6); ("rolled_back", 358);
+      ("suffix_lost", 15); ("torn_injected", 75); ("violations", 0);
+    ]
+    (F.run ~persist:epoch4
+       ~spec:{ F.default_spec with torn = true }
+       (F.kv_workload ~structure:"RB" ~records:6 ~ops:12 ()));
+  List.iter
+    (fun (name, persist, events) ->
+      check_pins name
+        [ ("events", events); ("points", events); ("violations", 0) ]
+        (F.run_conc ~cores:2 ~ops_per_core:4 ~persist ()))
+    [
+      ("conc 2x4, eager", Persist.Eager, 48);
+      ("conc 2x4, epoch:4", epoch4, 55);
+    ]
+
 let () =
   Alcotest.run "faultinject"
     [
@@ -135,4 +197,5 @@ let () =
         [
           Alcotest.test_case "jobs 4 == jobs 1" `Quick test_jobs_determinism;
         ] );
+      ("pins", [ Alcotest.test_case "golden values" `Quick test_golden_pins ]);
     ]
