@@ -1,32 +1,17 @@
-(* Schema check for the bench driver's telemetry outputs.
+(* Schema checks for the telemetry documents the bench driver and the
+   CLI write.
 
-     check_stats.exe STATS.json           assert the stats document
-                                          parses and carries the keys
-                                          the perf trajectory reads
-     check_stats.exe --same A B           assert byte equality (the
-                                          --jobs determinism check)
+     check_stats.exe STATS.json           assert a stats document
+                                          carries the keys the perf
+                                          trajectory reads
      check_stats.exe --fuzz STATS.json    assert the fuzz.* counters a
                                           `nvml fuzz --stats` run must
                                           produce
      check_stats.exe --media STATS.json   assert the media.* counters a
                                           `nvml scrub --stats` run must
                                           produce
-     check_stats.exe --latency M.json     assert a `--metrics-json`
-                                          document carries well-formed
-                                          <prefix>.latency.* percentile
-                                          ladders and tail attribution
-     check_stats.exe --serving M.json     assert a `--metrics-json`
-                                          document carries the
-                                          serving.<mix>.* throughput,
-                                          cache and percentile metrics
-                                          for all four serving mixes
-     check_stats.exe --persist M.json     assert a `--metrics-json`
-                                          document carries the
-                                          persist.<structure>.<model>.*
-                                          drain-traffic metrics for the
-                                          full model spectrum, and that
-                                          the contract oracle's loss
-                                          sweep saw zero mispredictions
+     check_stats.exe --same A B           assert byte equality (the
+                                          --jobs determinism check)
      check_stats.exe --bench BENCH.json   assert the perf-trajectory
                                           document (BENCH_<n>.json) is
                                           well-formed; with
@@ -39,9 +24,14 @@
                                           any epoch-mode cycle-savings
                                           fraction regressed by more
                                           than F (default 1.2, i.e.
-                                          +20%) *)
+                                          +20%)
+
+   The experiments' own metric invariants are not checked here:
+   bench/main.exe checks the gates each experiment declares after every
+   run. *)
 
 module Json = Nvml_telemetry.Json
+module Gate = Nvml_telemetry.Gate
 
 let fail fmt =
   Printf.ksprintf
@@ -56,80 +46,6 @@ let read_file path =
   close_in ic;
   s
 
-let check_stats path =
-  let doc =
-    match Json.of_string (read_file path) with
-    | Ok doc -> doc
-    | Error msg -> fail "%s: invalid JSON: %s" path msg
-  in
-  List.iter
-    (fun key ->
-      match Json.path [ "derived"; key ] doc with
-      | Some (Json.Float _ | Json.Int _) -> ()
-      | Some _ -> fail "%s: derived.%s is not a number" path key
-      | None -> fail "%s: missing derived.%s" path key)
-    [ "valb.hit_rate"; "polb.hit_rate"; "check_sites.dynamic_fraction" ];
-  (match Json.member "counters" doc with
-  | Some (Json.Obj (_ :: _)) -> ()
-  | _ -> fail "%s: missing or empty counters object" path);
-  Printf.printf "%s: ok\n" path
-
-let check_fuzz path =
-  let doc =
-    match Json.of_string (read_file path) with
-    | Ok doc -> doc
-    | Error msg -> fail "%s: invalid JSON: %s" path msg
-  in
-  let counter key =
-    match Json.path [ "counters"; key ] doc with
-    | Some (Json.Int n) -> n
-    | Some _ -> fail "%s: counters.%s is not an integer" path key
-    | None -> fail "%s: missing counters.%s" path key
-  in
-  let runs = counter "fuzz.runs" in
-  let ops = counter "fuzz.ops" in
-  if runs <= 0 then fail "%s: fuzz.runs is %d, expected > 0" path runs;
-  if ops <= 0 then fail "%s: fuzz.ops is %d, expected > 0" path ops;
-  let violations = counter "fuzz.violations" in
-  if violations < 0 then fail "%s: negative fuzz.violations" path;
-  ignore (counter "fuzz.shrink_replays");
-  Printf.printf "%s: ok (fuzz.runs=%d fuzz.ops=%d fuzz.violations=%d)\n" path
-    runs ops violations
-
-let check_media path =
-  let doc =
-    match Json.of_string (read_file path) with
-    | Ok doc -> doc
-    | Error msg -> fail "%s: invalid JSON: %s" path msg
-  in
-  let counter key =
-    match Json.path [ "counters"; key ] doc with
-    | Some (Json.Int n) -> n
-    | Some _ -> fail "%s: counters.%s is not an integer" path key
-    | None -> fail "%s: missing counters.%s" path key
-  in
-  let runs = counter "media.scrub.runs" in
-  let pools = counter "media.scrub.pools" in
-  if runs <= 0 then fail "%s: media.scrub.runs is %d, expected > 0" path runs;
-  if pools <= 0 then fail "%s: media.scrub.pools is %d, expected > 0" path pools;
-  let detected = counter "media.scrub.detected" in
-  let repaired = counter "media.scrub.repaired" in
-  if repaired > detected then
-    fail "%s: media.scrub.repaired (%d) exceeds detected (%d)" path repaired
-      detected;
-  List.iter
-    (fun key -> if counter key < 0 then fail "%s: negative %s" path key)
-    [
-      "media.scrub.unrepairable"; "media.scrub.lost_objects";
-      "media.read.flips"; "media.read.poisons"; "media.read.transient_faults";
-      "media.read.retries"; "media.healed_words"; "media.seals";
-      "media.writes_refused"; "media.attach.verified"; "media.attach.dirty";
-      "media.attach.degraded";
-    ];
-  Printf.printf
-    "%s: ok (media.scrub.runs=%d pools=%d detected=%d repaired=%d)\n" path runs
-    pools detected repaired
-
 let parse_doc path =
   match Json.of_string (read_file path) with
   | Ok doc -> doc
@@ -140,259 +56,59 @@ let number = function
   | Some (Json.Float f) -> Some f
   | _ -> None
 
-(* Assert the latency-percentile groups a `--metrics-json` document from
-   a latency-instrumented run must carry: for every <prefix>.latency.p50
-   metric, the full percentile ladder exists and is monotone, and the
-   per-component tail-attribution fractions are sane (each in [0,1],
-   summing to ~1 — or all zero when the recorder saw no cycles, which
-   fast functional mode produces for the non-base components). *)
-let check_latency path =
-  let doc = parse_doc path in
-  let metrics =
-    match Json.member "metrics" doc with
-    | Some (Json.Obj kvs) -> kvs
-    | _ -> fail "%s: missing metrics object" path
+(* A stats document's derived.* and counters.* values as one flat
+   metric set; every counter must be an integer. *)
+let stats_metrics path doc =
+  let section name ~integer =
+    match Json.member name doc with
+    | Some (Json.Obj kvs) ->
+        List.map
+          (fun (k, v) ->
+            let key = name ^ "." ^ k in
+            match v with
+            | Json.Int n -> (key, float_of_int n)
+            | Json.Float f when not integer -> (key, f)
+            | _ ->
+                fail "%s: %s is not %s" path key
+                  (if integer then "an integer" else "a number"))
+          kvs
+    | _ -> []
   in
-  let lookup name =
-    match List.assoc_opt name metrics with
-    | Some j -> number (Some j)
-    | None -> None
-  in
-  let suffix = ".latency.p50" in
-  let prefixes =
-    List.filter_map
-      (fun (k, _) ->
-        let lk = String.length k and ls = String.length suffix in
-        if lk > ls && String.sub k (lk - ls) ls = suffix then
-          Some (String.sub k 0 (lk - ls))
-        else None)
-      metrics
-  in
-  if prefixes = [] then fail "%s: no <prefix>.latency.p50 metrics found" path;
-  List.iter
-    (fun prefix ->
-      let pct name =
-        match lookup (prefix ^ ".latency." ^ name) with
-        | Some f when f >= 0.0 -> f
-        | Some _ -> fail "%s: %s.latency.%s is negative" path prefix name
-        | None -> fail "%s: missing %s.latency.%s" path prefix name
-      in
-      let p50 = pct "p50" and p90 = pct "p90" and p99 = pct "p99" in
-      let p999 = pct "p999" and pmax = pct "max" in
-      if not (p50 <= p90 && p90 <= p99 && p99 <= p999 && p999 <= pmax) then
-        fail "%s: %s percentiles not monotone (p50=%g p90=%g p99=%g p999=%g \
-              max=%g)"
-          path prefix p50 p90 p99 p999 pmax;
-      let tail_sum =
-        List.fold_left
-          (fun acc name ->
-            match lookup (prefix ^ ".latency.tail." ^ name) with
-            | Some f when f >= 0.0 && f <= 1.0 -> acc +. f
-            | Some f ->
-                fail "%s: %s.latency.tail.%s=%g outside [0,1]" path prefix
-                  name f
-            | None -> fail "%s: missing %s.latency.tail.%s" path prefix name)
-          0.0
-          [ "base"; "check"; "translation"; "stall"; "media" ]
-      in
-      if tail_sum > 0.0 && Float.abs (tail_sum -. 1.0) > 1e-3 then
-        fail "%s: %s tail fractions sum to %g, expected ~1" path prefix
-          tail_sum)
-    prefixes;
-  Printf.printf "%s: ok (%d latency groups: %s)\n" path (List.length prefixes)
-    (String.concat " " prefixes)
+  section "derived" ~integer:false @ section "counters" ~integer:true
 
-(* Assert the serving.<mix>.* metric groups a `--metrics-json` document
-   from a serving run must carry: all four mixes present, each with a
-   positive request count and simulated throughput, a hit rate in
-   [0,1], and a monotone p50 <= p99 <= p999 percentile ladder. *)
-let check_serving path =
-  let doc = parse_doc path in
-  let metrics =
-    match Json.member "metrics" doc with
-    | Some (Json.Obj kvs) -> kvs
-    | _ -> fail "%s: missing metrics object" path
-  in
-  let lookup name = number (List.assoc_opt name metrics) in
-  let mixes = [ "read-latest"; "scan-heavy"; "rmw-heavy"; "hot-storm" ] in
-  List.iter
-    (fun mix ->
-      let get key =
-        match lookup (Printf.sprintf "serving.%s.%s" mix key) with
-        | Some f -> f
-        | None -> fail "%s: missing serving.%s.%s" path mix key
-      in
-      if get "ops" <= 0.0 then fail "%s: serving.%s.ops not positive" path mix;
-      if get "ops_per_s" <= 0.0 then
-        fail "%s: serving.%s.ops_per_s not positive" path mix;
-      if get "shards" < 1.0 then fail "%s: serving.%s.shards < 1" path mix;
-      let hit = get "cache.hit_rate" in
-      if hit < 0.0 || hit > 1.0 then
-        fail "%s: serving.%s.cache.hit_rate=%g outside [0,1]" path mix hit;
-      if get "cache.writebacks" < 0.0 then
-        fail "%s: serving.%s.cache.writebacks negative" path mix;
-      let p50 = get "latency.p50" and p99 = get "latency.p99" in
-      let p999 = get "latency.p999" in
-      if not (p50 <= p99 && p99 <= p999) then
-        fail "%s: serving.%s percentiles not monotone (p50=%g p99=%g p999=%g)"
-          path mix p50 p99 p999)
-    mixes;
-  Printf.printf "%s: ok (%d serving mixes)\n" path (List.length mixes)
+let stats_gates =
+  Gate.groups ~prefix:"counters." ~suffix:"" (fun _ -> [])
+  :: List.map
+       (fun k -> Gate.present ("derived." ^ k))
+       [ "valb.hit_rate"; "polb.hit_rate"; "check_sites.dynamic_fraction" ]
 
-(* Assert the conc.* metric groups a `--metrics-json` document from the
-   `concurrent` bench experiment must carry: at least one conc.c<N>
-   contention group whose contended run actually contended (coherence
-   invalidations and FliT flush elisions both observed), and a
-   durability sweep with crash points and zero violations. *)
-let check_conc path =
-  let doc = parse_doc path in
-  let metrics =
-    match Json.member "metrics" doc with
-    | Some (Json.Obj kvs) -> kvs
-    | _ -> fail "%s: missing metrics object" path
-  in
-  let lookup name = number (List.assoc_opt name metrics) in
-  let suffix = ".coherence_invalidations" in
-  let prefixes =
-    List.filter_map
-      (fun (k, _) ->
-        let lk = String.length k and ls = String.length suffix in
-        if
-          lk > ls
-          && String.sub k (lk - ls) ls = suffix
-          && String.length k > 6
-          && String.sub k 0 6 = "conc.c"
-        then Some (String.sub k 0 (lk - ls))
-        else None)
-      metrics
-  in
-  if prefixes = [] then
-    fail "%s: no conc.c<N>.coherence_invalidations metrics found" path;
-  List.iter
-    (fun prefix ->
-      let get key =
-        match lookup (prefix ^ "." ^ key) with
-        | Some f when f >= 0.0 -> f
-        | Some _ -> fail "%s: %s.%s is negative" path prefix key
-        | None -> fail "%s: missing %s.%s" path prefix key
-      in
-      if get "steps" <= 0.0 then fail "%s: %s.steps not positive" path prefix;
-      if get "contended_steps" <= 0.0 then
-        fail "%s: %s.contended_steps not positive" path prefix;
-      if get "switches" <= 0.0 then
-        fail "%s: %s.switches not positive" path prefix;
-      if get "coherence_invalidations" <= 0.0 then
-        fail "%s: %s.coherence_invalidations not positive" path prefix;
-      if get "flit.flushes_elided" <= 0.0 then
-        fail "%s: %s.flit.flushes_elided not positive" path prefix;
-      ignore (get "flit.flushes_issued");
-      if get "flit.writer_flushes" <= 0.0 then
-        fail "%s: %s.flit.writer_flushes not positive" path prefix;
-      if get "cycles.core0" <= 0.0 then
-        fail "%s: %s.cycles.core0 not positive" path prefix)
-    prefixes;
-  let fi key =
-    match lookup ("conc.fi." ^ key) with
-    | Some f -> f
-    | None -> fail "%s: missing conc.fi.%s" path key
-  in
-  if fi "events" <= 0.0 then fail "%s: conc.fi.events not positive" path;
-  if fi "points" <= 0.0 then fail "%s: conc.fi.points not positive" path;
-  if fi "violations" <> 0.0 then
-    fail "%s: conc.fi.violations is %g, expected 0" path (fi "violations");
-  Printf.printf "%s: ok (%d contention groups: %s)\n" path
-    (List.length prefixes)
-    (String.concat " " prefixes)
+let fuzz_gates =
+  [
+    Gate.positive "counters.fuzz.runs";
+    Gate.positive "counters.fuzz.ops";
+    Gate.nonneg "counters.fuzz.violations";
+    Gate.present "counters.fuzz.shrink_replays";
+  ]
 
-(* Assert the persist.* metric groups a `--metrics-json` document from
-   the `persist` bench experiment must carry: every structure x model
-   cell of the retention spectrum, eager with zero drain traffic (it
-   persists in place), every relaxed model actually draining, wider
-   epochs saving cycles over the per-op flush+fence baseline (epoch:1),
-   a loss-exposure sweep per model, and — the contract gate — zero
-   oracle mispredictions across every sweep. *)
-let check_persist path =
-  let doc = parse_doc path in
-  let metrics =
-    match Json.member "metrics" doc with
-    | Some (Json.Obj kvs) -> kvs
-    | _ -> fail "%s: missing metrics object" path
-  in
-  let get name =
-    match number (List.assoc_opt name metrics) with
-    | Some f -> f
-    | None -> fail "%s: missing persist metric %s" path name
-  in
-  let structures = [ "RB"; "Hash" ] in
-  let models = [ "eager"; "epoch_1"; "epoch_8"; "epoch_64"; "lazy" ] in
-  let relaxed = [ "epoch_8"; "epoch_64"; "lazy" ] in
-  List.iter
-    (fun s ->
-      List.iter
-        (fun m ->
-          let prefix = Printf.sprintf "persist.%s.%s" s m in
-          let g key = get (prefix ^ "." ^ key) in
-          if g "run_cycles" <= 0.0 then
-            fail "%s: %s.run_cycles is not positive" path prefix;
-          List.iter
-            (fun key ->
-              if g key < 0.0 then fail "%s: negative %s.%s" path prefix key)
-            [ "drains"; "flushes"; "fences"; "buffered" ];
-          if m = "eager" then
-            List.iter
-              (fun key ->
-                if g key <> 0.0 then
-                  fail
-                    "%s: %s.%s is %g, expected 0 (eager persists in place, \
-                     no drain traffic)"
-                    path prefix key (g key))
-              [ "drains"; "flushes"; "fences"; "buffered" ]
-          else begin
-            if g "drains" <= 0.0 then
-              fail "%s: %s.drains is not positive" path prefix;
-            if g "flushes" <= 0.0 then
-              fail "%s: %s.flushes is not positive" path prefix;
-            if g "fences" < g "drains" then
-              fail "%s: %s.fences (%g) below drains (%g)" path prefix
-                (g "fences") (g "drains")
-          end;
-          if List.mem m relaxed then begin
-            let sv = g "savings_vs_epoch1" in
-            if sv <= 0.0 then
-              fail
-                "%s: %s.savings_vs_epoch1 is %g, expected > 0 (wider epochs \
-                 must beat the per-op flush+fence baseline)"
-                path prefix sv
-          end)
-        models)
-    structures;
-  List.iter
-    (fun m ->
-      let prefix = "persist.fi." ^ m in
-      let g key = get (prefix ^ "." ^ key) in
-      if g "points" <= 0.0 then
-        fail "%s: %s.points is not positive" path prefix;
-      if g "suffix_lost" < 0.0 || g "max_ops_lost" < 0.0 then
-        fail "%s: negative loss count under %s" path prefix;
-      if m = "eager" && g "suffix_lost" <> 0.0 then
-        fail
-          "%s: %s.suffix_lost is %g, but eager may never lose a committed op"
-          path prefix (g "suffix_lost");
-      if (m = "epoch_64" || m = "lazy") && g "suffix_lost" <= 0.0 then
-        fail
-          "%s: %s.suffix_lost is 0 — the exposure axis was not exercised"
-          path prefix;
-      if g "violations" <> 0.0 then
-        fail "%s: %s.violations is %g, expected 0" path prefix
-          (g "violations"))
-    models;
-  let mispredictions = get "persist.mispredictions" in
-  if mispredictions <> 0.0 then
-    fail "%s: persist.mispredictions is %g, expected 0" path mispredictions;
-  Printf.printf
-    "%s: ok (%d persist cells, %d loss sweeps, mispredictions=0)\n" path
-    (List.length structures * List.length models)
-    (List.length models)
+let media_gates =
+  Gate.positive "counters.media.scrub.runs"
+  :: Gate.positive "counters.media.scrub.pools"
+  :: Gate.le "counters.media.scrub.repaired" "counters.media.scrub.detected"
+  :: List.map
+       (fun k -> Gate.nonneg ("counters.media." ^ k))
+       [
+         "scrub.unrepairable"; "scrub.lost_objects"; "read.flips";
+         "read.poisons"; "read.transient_faults"; "read.retries";
+         "healed_words"; "seals"; "writes_refused"; "attach.verified";
+         "attach.dirty"; "attach.degraded";
+       ]
+
+let check_stats gates path =
+  match Gate.check gates (stats_metrics path (parse_doc path)) with
+  | [] -> Printf.printf "%s: ok\n" path
+  | failures ->
+      List.iter (fun f -> prerr_endline (path ^ ": " ^ f)) failures;
+      exit 1
 
 (* The persist.*.savings_vs_epoch1 metrics inside a document's optional
    "metrics" object — the epoch-mode cycle-savings fractions the
@@ -505,6 +221,16 @@ let check_bench ?baseline ?(max_regress = 1.2) path =
               | Some f -> f
               | None -> 0.0
             in
+            (* The rate derives from the wall as written (ms
+               resolution), and is 0 when that wall is 0; both print to
+               6 significant digits. *)
+            let ops =
+              Option.value ~default:0.0 (number (Json.member "ops" e))
+            in
+            let rate = if wall > 0.0 then ops /. wall else 0.0 in
+            if Float.abs (ops_per_s -. rate) > 1e-4 *. rate then
+              fail "%s: %s: ops_per_s %g disagrees with ops / wall_s = %g" path
+                name ops_per_s rate;
             (name, ops_per_s, wall, latency_percentiles path name e))
           exps
     | _ -> fail "%s: missing or empty experiments list" path
@@ -689,12 +415,8 @@ let () =
   match Array.to_list Sys.argv with
   | [ _; "--same"; a; b ] ->
       if read_file a <> read_file b then fail "%s and %s differ" a b
-  | [ _; "--fuzz"; path ] -> check_fuzz path
-  | [ _; "--media"; path ] -> check_media path
-  | [ _; "--latency"; path ] -> check_latency path
-  | [ _; "--serving"; path ] -> check_serving path
-  | [ _; "--conc"; path ] -> check_conc path
-  | [ _; "--persist"; path ] -> check_persist path
+  | [ _; "--fuzz"; path ] -> check_stats fuzz_gates path
+  | [ _; "--media"; path ] -> check_stats media_gates path
   | [ _; "--bench"; path ] -> check_bench path
   | [ _; "--bench"; path; "--baseline"; base ] -> check_bench ~baseline:base path
   | [ _; "--bench"; path; "--baseline"; base; "--max-regress"; f ] -> (
@@ -702,10 +424,9 @@ let () =
       | Some max_regress when max_regress > 0.0 ->
           check_bench ~baseline:base ~max_regress path
       | _ -> fail "--max-regress expects a positive float, got %S" f)
-  | [ _; path ] -> check_stats path
+  | [ _; path ] -> check_stats stats_gates path
   | _ ->
       fail
         "usage: check_stats [--same A B | --fuzz STATS.json | --media \
-         STATS.json | --latency METRICS.json | --serving METRICS.json | \
-         --conc METRICS.json | --persist METRICS.json | --bench BENCH.json \
-         [--baseline BASE.json [--max-regress F]] | STATS.json]"
+         STATS.json | --bench BENCH.json [--baseline BASE.json \
+         [--max-regress F]] | STATS.json]"

@@ -21,6 +21,7 @@ module Knn = Nvml_mlkit.Knn
 module Interp = Nvml_minic.Interp
 module Corpus = Nvml_minic.Corpus
 module Inference = Nvml_comp.Inference
+module Gate = Nvml_telemetry.Gate
 open Report
 
 type ctx = { spec : Workload.spec; verbose : bool; pool : Nvml_exec.Pool.t }
@@ -127,6 +128,24 @@ let latency_metrics prefix oplats =
     metric (prefix ^ ".latency.tail.media") (frac tail.Oplat.media);
     Report.lat_add agg
   end
+
+(* What every [latency_metrics] group of experiment [exp] must hold:
+   the percentile ladder present, non-negative and monotone, and the
+   tail fractions each in [0,1], summing to ~1 — or all zero when the
+   recorder saw no cycles, which fast functional mode produces for the
+   non-base components. *)
+let latency_gate exp =
+  Gate.groups ~prefix:(exp ^ ".") ~suffix:".latency.p50" (fun g ->
+      let k s = g ^ ".latency." ^ s in
+      let ladder = List.map k [ "p50"; "p90"; "p99"; "p999"; "max" ] in
+      List.map Gate.nonneg ladder
+      @ [
+          Gate.ladder ladder;
+          Gate.fractions
+            (List.map
+               (fun c -> k ("tail." ^ c))
+               [ "base"; "check"; "translation"; "stall"; "media" ]);
+        ])
 
 let result_oplats rs = List.map (fun (r : Harness.result) -> r.Harness.oplat) rs
 
@@ -1263,6 +1282,12 @@ let faultinject ctx =
       reports
   end
 
+let faultinject_gates =
+  [
+    Gate.groups ~prefix:"faultinject." ~suffix:".violations" (fun w ->
+        [ Gate.positive (w ^ ".points"); Gate.zero (w ^ ".violations") ]);
+  ]
+
 (* --- media scrub --------------------------------------------------------- *)
 
 (* Detection/repair coverage of the integrity stack, scored against the
@@ -1370,6 +1395,8 @@ let scrub ctx =
     "hot-path overhead: 0 extra words per allocation; integrity traffic is\n\
      confined to pool open/close (15-16 word ops per pool per session).\n"
 
+let scrub_gates = [ Gate.zero "scrub.mispredictions" ]
+
 (* --- serving ------------------------------------------------------------- *)
 
 (* The serving engine at scale: the four serving mixes through the
@@ -1437,6 +1464,24 @@ let serving ctx =
     "service time is the slowest shard; front-cache hits never touch the\n\
      persistent structure, and every dirty entry is written back before\n\
      detach, so final pool contents match a cache-disabled run.\n"
+
+(* All four mixes present, each with requests served, a simulated
+   throughput, at least one shard (a count, so > 0 is >= 1), a hit rate
+   in [0,1] and a monotone percentile ladder. *)
+let serving_gates =
+  latency_gate "serving"
+  :: List.concat_map
+       (fun mix ->
+         let k s = Printf.sprintf "serving.%s.%s" mix s in
+         [
+           Gate.positive (k "ops");
+           Gate.positive (k "ops_per_s");
+           Gate.positive (k "shards");
+           Gate.unit_interval (k "cache.hit_rate");
+           Gate.nonneg (k "cache.writebacks");
+           Gate.ladder [ k "latency.p50"; k "latency.p99"; k "latency.p999" ];
+         ])
+       [ "read-latest"; "scan-heavy"; "rmw-heavy"; "hot-storm" ]
 
 (* --- multi-core contention ----------------------------------------------- *)
 
@@ -1543,6 +1588,25 @@ let concurrent ctx =
       (List.length r.F.outcomes)
       cores
   else Fmt.pr "%a@." F.pp_report r
+
+(* Every contention episode actually contended (coherence invalidations
+   and FliT flush elisions observed), and the durability sweep crashed
+   somewhere and never violated recovery. *)
+let concurrent_gates =
+  [
+    Gate.groups ~prefix:"conc.c" ~suffix:".coherence_invalidations" (fun c ->
+        let k s = c ^ "." ^ s in
+        Gate.nonneg (k "flit.flushes_issued")
+        :: List.map
+             (fun s -> Gate.positive (k s))
+             [
+               "steps"; "contended_steps"; "switches"; "coherence_invalidations";
+               "flit.flushes_elided"; "flit.writer_flushes"; "cycles.core0";
+             ]);
+    Gate.positive "conc.fi.events";
+    Gate.positive "conc.fi.points";
+    Gate.zero "conc.fi.violations";
+  ]
 
 (* --- persistency-model sweep ---------------------------------------- *)
 
@@ -1720,3 +1784,107 @@ let persist ctx =
             Printf.printf "  %s point %d: %s\n" (Persist.model_name m) p v)
           r.F.violations)
       sweeps
+
+(* The retention contract: eager has no drain traffic and never loses a
+   committed op; every other model drains, and the wider epochs save
+   cycles over the per-op flush+fence baseline (epoch:1); epoch:64 and
+   lazy do lose a suffix, so the exposure axis is exercised; and the
+   oracle mispredicts nothing. *)
+let persist_gates =
+  let models = [ "eager"; "epoch_1"; "epoch_8"; "epoch_64"; "lazy" ] in
+  let traffic = [ "drains"; "flushes"; "fences"; "buffered" ] in
+  let cell s m =
+    let k key = Printf.sprintf "persist.%s.%s.%s" s m key in
+    Gate.positive (k "run_cycles")
+    ::
+    (if m = "eager" then List.map (fun t -> Gate.zero (k t)) traffic
+     else
+       List.map (fun t -> Gate.nonneg (k t)) traffic
+       @ [
+           Gate.positive (k "drains");
+           Gate.positive (k "flushes");
+           Gate.le (k "drains") (k "fences");
+         ]
+       @
+       if m = "epoch_1" then []
+       else [ Gate.positive (k "savings_vs_epoch1") ])
+  in
+  let sweep m =
+    let k key = Printf.sprintf "persist.fi.%s.%s" m key in
+    [
+      Gate.positive (k "points");
+      Gate.nonneg (k "max_ops_lost");
+      Gate.zero (k "violations");
+      (match m with
+      | "eager" -> Gate.zero (k "suffix_lost")
+      | "epoch_64" | "lazy" -> Gate.positive (k "suffix_lost")
+      | _ -> Gate.nonneg (k "suffix_lost"));
+    ]
+  in
+  Gate.zero "persist.mispredictions"
+  :: List.concat_map (fun s -> List.concat_map (cell s) models) [ "RB"; "Hash" ]
+  @ List.concat_map sweep models
+
+(* --- the experiment table ------------------------------------------------ *)
+
+(* Which core an experiment drives, for the --bench mode breakdown:
+   [Fast] experiments run the verification engines on the fast
+   functional core; [Cycle] experiments measure timing on the
+   cycle-accurate core; [Other] experiments do no simulation worth
+   classifying (static tables, compiler output, micro-benchmarks). *)
+type mode = Fast | Cycle | Other
+
+let mode_name = function Fast -> "fast" | Cycle -> "cycle" | Other -> "other"
+
+(* An experiment states its name, mode and invariants once: the driver
+   runs [run] and then checks [gates] against the metrics of the run. *)
+type experiment = {
+  name : string;
+  doc : string;
+  mode : mode;
+  run : ctx -> unit;
+  gates : Gate.t list;
+}
+
+let all =
+  let e ?(gates = []) name mode doc run = { name; doc; mode; run; gates } in
+  [
+    e "table2" Other "HW structure storage cost" table2;
+    e "table3" Other "benchmark inventory" table3;
+    e "table4" Other "simulator parameters" table4;
+    e "table5" Cycle "dynamic checks and conversions (SW)" table5
+      ~gates:[ latency_gate "table5" ];
+    e "fig11" Cycle "execution time normalized to volatile" fig11
+      ~gates:[ latency_gate "fig11" ];
+    e "fig12" Cycle "translation-reuse codelet" fig12;
+    e "fig9" Other "compiler-generated code sample" fig9;
+    e "fig13" Cycle "branch mispredictions normalized" fig13;
+    e "fig14" Cycle "VALB/VAW latency sensitivity" fig14
+      ~gates:[ latency_gate "fig14" ];
+    e "fig15" Cycle "translation-hardware access fractions" fig15;
+    e "profile" Cycle "telemetry: check sites, lookasides, cycles" profile;
+    e "table6" Cycle "relocation overhead comparison" table6;
+    e "knn" Cycle "KNN case study + productivity" knn;
+    e "soundness" Cycle "mini-C corpus soundness runs" soundness;
+    e "compiler" Other "pointer-property inference stats" compiler;
+    e "productivity" Other "library migration cost table" productivity;
+    e "ablation" Cycle "design-choice ablations" ablation;
+    e "extended" Cycle "extended structure set" extended
+      ~gates:[ latency_gate "extended" ];
+    e "multipool" Cycle "pool-count capacity sweep" multipool;
+    e "txn" Cycle "transaction overhead" txn_overhead
+      ~gates:[ latency_gate "txn" ];
+    e "faultinject" Fast "crash-point recovery sweep" faultinject
+      ~gates:faultinject_gates;
+    e "scrub" Fast "media-error detection/repair coverage" scrub
+      ~gates:scrub_gates;
+    e "serving" Fast "sharded serving engine throughput/latency" serving
+      ~gates:serving_gates;
+    e "concurrent" Cycle "multi-core contention, FliT elision, durability"
+      concurrent ~gates:concurrent_gates;
+    e "persist" Cycle "persistency-model sweep: drain savings vs loss exposure"
+      persist ~gates:persist_gates;
+    e "sweep" Cycle "NVM latency and working-set sweeps" sweep
+      ~gates:[ latency_gate "sweep" ];
+    e "micro" Other "bechamel micro-benchmarks" micro;
+  ]

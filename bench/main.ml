@@ -7,7 +7,6 @@
      dune exec bench/main.exe -- --quick      # 10x smaller workloads
      dune exec bench/main.exe -- fig11 table5 # selected experiments
      dune exec bench/main.exe -- --jobs 4     # parallel simulation cells
-     dune exec bench/main.exe -- --json out.json
      dune exec bench/main.exe -- --bench BENCH_6.json  # perf trajectory
      dune exec bench/main.exe -- --stats stats.json --trace trace.json
      dune exec bench/main.exe -- --metrics-json m.json  # metrics only
@@ -16,258 +15,195 @@
    Independent simulation cells run on a domain worker pool sized by
    --jobs (or the NVML_JOBS environment variable; default: the
    machine's recommended domain count).  --jobs 1 reproduces the
-   sequential output exactly. *)
+   sequential output exactly.
+
+   After writing its documents the driver checks the gates every
+   experiment that ran declares (Experiments.all) against the run's
+   metrics; on any failure it names the experiment, key and value on
+   stderr and exits 1.  Unknown flags, a flag missing its value and a
+   repeated experiment are rejected up front. *)
 
 module Workload = Nvml_ycsb.Workload
 module Pool = Nvml_exec.Pool
 module Telemetry = Nvml_telemetry.Telemetry
 module Json = Nvml_telemetry.Json
 module Profile = Nvml_kvstore.Profile
+module Gate = Nvml_telemetry.Gate
 
-let all_experiments : (string * string * (Experiments.ctx -> unit)) list =
+let fail fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline m;
+      exit 1)
+    fmt
+
+let value_flags =
+  [ "--jobs"; "--bench"; "--stats"; "--trace"; "--metrics-json" ]
+let switches = [ "--list"; "--quick"; "--quiet" ]
+
+(* Removed flags, by bare name, and what replaced them. *)
+let removed_flags =
   [
-    ("table2", "HW structure storage cost", Experiments.table2);
-    ("table3", "benchmark inventory", Experiments.table3);
-    ("table4", "simulator parameters", Experiments.table4);
-    ("table5", "dynamic checks and conversions (SW)", Experiments.table5);
-    ("fig11", "execution time normalized to volatile", Experiments.fig11);
-    ("fig12", "translation-reuse codelet", Experiments.fig12);
-    ("fig9", "compiler-generated code sample", Experiments.fig9);
-    ("fig13", "branch mispredictions normalized", Experiments.fig13);
-    ("fig14", "VALB/VAW latency sensitivity", Experiments.fig14);
-    ("fig15", "translation-hardware access fractions", Experiments.fig15);
-    ("profile", "telemetry: check sites, lookasides, cycles", Experiments.profile);
-    ("table6", "relocation overhead comparison", Experiments.table6);
-    ("knn", "KNN case study + productivity", Experiments.knn);
-    ("soundness", "mini-C corpus soundness runs", Experiments.soundness);
-    ("compiler", "pointer-property inference stats", Experiments.compiler);
-    ("productivity", "library migration cost table", Experiments.productivity);
-    ("ablation", "design-choice ablations", Experiments.ablation);
-    ("extended", "extended structure set", Experiments.extended);
-    ("multipool", "pool-count capacity sweep", Experiments.multipool);
-    ("txn", "transaction overhead", Experiments.txn_overhead);
-    ("faultinject", "crash-point recovery sweep", Experiments.faultinject);
-    ("scrub", "media-error detection/repair coverage", Experiments.scrub);
-    ("serving", "sharded serving engine throughput/latency", Experiments.serving);
-    ("concurrent", "multi-core contention, FliT elision, durability", Experiments.concurrent);
-    ("persist", "persistency-model sweep: drain savings vs loss exposure", Experiments.persist);
-    ("sweep", "NVM latency and working-set sweeps", Experiments.sweep);
-    ("micro", "bechamel micro-benchmarks", Experiments.micro);
+    ( "json",
+      "--bench FILE, whose document carries the workload, wall times and \
+       metrics" );
   ]
 
-(* Execution-mode classification for the --bench trajectory document:
-   which core each experiment drives.  "fast" experiments run the
-   verification engines, which default to fast functional simulation
-   since PR 6; "cycle" experiments measure timing and always run the
-   cycle-accurate core; "other" experiments do no simulation worth
-   classifying (static tables, compiler output, micro-benchmarks). *)
-let mode_of_experiment = function
-  | "faultinject" | "scrub" | "serving" -> "fast"
-  | "table5" | "fig11" | "fig12" | "fig13" | "fig14" | "fig15" | "profile"
-  | "table6" | "knn" | "soundness" | "ablation" | "extended" | "multipool"
-  | "txn" | "sweep" | "concurrent" | "persist" ->
-      "cycle"
-  | _ -> "other"
+(* Split the command line into flag values, switches and experiment
+   names, rejecting anything it cannot place. *)
+let parse_args args =
+  let rec go values set names = function
+    | [] -> (values, set, List.rev names)
+    | flag :: rest when List.mem flag value_flags -> (
+        if List.mem_assoc flag values then fail "%s given twice" flag;
+        match rest with
+        | v :: rest -> go ((flag, v) :: values) set names rest
+        | [] -> fail "%s expects a value" flag)
+    | flag :: rest when List.mem flag switches ->
+        go values (flag :: set) names rest
+    | a :: _ when String.length a > 1 && a.[0] = '-' -> (
+        let bare = String.sub a 2 (max 0 (String.length a - 2)) in
+        match List.assoc_opt bare removed_flags with
+        | Some instead when String.starts_with ~prefix:"--" a ->
+            fail "%s was removed: use %s" a instead
+        | _ ->
+            fail "unknown option %s (options: %s)" a
+              (String.concat " " (switches @ value_flags)))
+    | name :: rest ->
+        if List.mem name names then fail "experiment %s given twice" name;
+        go values set (name :: names) rest
+  in
+  go [] [] [] args
 
-(* Minimal JSON emission — just what the report needs, no dependency. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Metric values print as JSON integers when integral. *)
+let number x =
+  if Float.is_integer x && Float.abs x < 1e15 then Json.Int (int_of_float x)
+  else Json.Float x
 
-let json_float x =
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.6g" x
+(* The run's metrics as one object, shared by every document that
+   carries them; a name recorded twice is an experiment bug, never two
+   values to keep. *)
+let metrics_object metrics =
+  let seen = Hashtbl.create 256 in
+  Json.Obj
+    (List.map
+       (fun (name, v) ->
+         if Hashtbl.mem seen name then fail "metric %s recorded twice" name;
+         Hashtbl.add seen name ();
+         (name, number v))
+       metrics)
 
-let write_json oc ~spec ~quick ~jobs ~timings ~total =
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": 1,\n";
-  p "  \"workload\": \"%s\",\n" (json_escape (Fmt.str "%a" Workload.pp_spec spec));
-  p "  \"quick\": %b,\n" quick;
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"total_wall_s\": %.3f,\n" total;
-  p "  \"experiments\": [\n";
-  List.iteri
-    (fun i (name, wall, _, _) ->
-      p "    {\"name\": \"%s\", \"wall_s\": %.3f}%s\n" (json_escape name) wall
-        (if i = List.length timings - 1 then "" else ","))
-    timings;
-  p "  ],\n";
-  let metrics = Report.metrics_snapshot () in
-  p "  \"metrics\": {\n";
-  List.iteri
-    (fun i (name, v) ->
-      p "    \"%s\": %s%s\n" (json_escape name) (json_float v)
-        (if i = List.length metrics - 1 then "" else ","))
-    metrics;
-  p "  }\n";
-  p "}\n";
-  close_out oc
+(* Walls are written at millisecond resolution, and each rate derives
+   from the wall as written: an experiment that took 0.000 s reports no
+   rate (0), never ops / 1e-7 s. *)
+let ms s = Float.round (s *. 1000.) /. 1000.
 
-(* The perf-trajectory document (BENCH_<n>.json): suite wall-clock, a
-   wall-clock breakdown by execution mode, and per-experiment wall,
-   operation count and ops/sec.  Schema checked by
-   [check_stats --bench]. *)
-let write_bench_json oc ~quick ~jobs ~timings ~total =
-  let p fmt = Printf.fprintf oc fmt in
+(* The perf-trajectory document (BENCH_<n>.json): the workload, suite
+   wall-clock, a wall-clock breakdown by execution mode, per-experiment
+   wall, operation count, ops/sec and latency summary, and the
+   deterministic metrics, so trajectory baselines can floor more than
+   wall-clocks.  Schema checked by [check_stats --bench]. *)
+let bench_json ~spec ~quick ~jobs ~timings ~total metrics =
+  let open Experiments in
   let wall_of m =
     List.fold_left
-      (fun acc (name, wall, _, _) ->
-        if mode_of_experiment name = m then acc +. wall else acc)
+      (fun acc (e, wall, _, _) -> if e.mode = m then acc +. wall else acc)
       0.0 timings
   in
-  p "{\n";
-  p "  \"schema\": 1,\n";
-  p "  \"kind\": \"bench-trajectory\",\n";
-  p "  \"quick\": %b,\n" quick;
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"suite_wall_s\": %.3f,\n" total;
-  p "  \"mode_breakdown\": {\"fast_wall_s\": %.3f, \"cycle_wall_s\": %.3f, \
-     \"other_wall_s\": %.3f},\n"
-    (wall_of "fast") (wall_of "cycle") (wall_of "other");
-  p "  \"experiments\": [\n";
-  List.iteri
-    (fun i (name, wall, ops, lat) ->
-      let ops_per_s = if wall > 0.0 then float_of_int ops /. wall else 0.0 in
-      let latency =
-        match lat with
-        | None -> ""
-        | Some o ->
-            Printf.sprintf ", \"latency\": %s"
-              (Json.to_string (Nvml_runtime.Oplat.summary_json o))
-      in
-      p
-        "    {\"name\": \"%s\", \"mode\": \"%s\", \"wall_s\": %.3f, \
-         \"ops\": %d, \"ops_per_s\": %s%s}%s\n"
-        (json_escape name)
-        (mode_of_experiment name)
-        wall ops (json_float ops_per_s) latency
-        (if i = List.length timings - 1 then "" else ","))
-    timings;
-  p "  ],\n";
-  (* The deterministic metrics ride along so trajectory baselines can
-     floor more than wall-clocks (e.g. the persist experiment's
-     epoch-mode cycle-savings fractions). *)
-  let metrics = Report.metrics_snapshot () in
-  p "  \"metrics\": {\n";
-  List.iteri
-    (fun i (name, v) ->
-      p "    \"%s\": %s%s\n" (json_escape name) (json_float v)
-        (if i = List.length metrics - 1 then "" else ","))
-    metrics;
-  p "  }\n";
-  p "}\n";
-  close_out oc
-
-(* The metrics alone, without wall timings — byte-identical across
-   [--jobs N] by construction, which the determinism test relies on. *)
-let write_metrics_json oc =
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": 1,\n";
-  let metrics = Report.metrics_snapshot () in
-  p "  \"metrics\": {\n";
-  List.iteri
-    (fun i (name, v) ->
-      p "    \"%s\": %s%s\n" (json_escape name) (json_float v)
-        (if i = List.length metrics - 1 then "" else ","))
-    metrics;
-  p "  }\n";
-  p "}\n";
-  close_out oc
-
-(* Pull the value of [--flag V] out of the raw argument list. *)
-let extract_value_arg flag args =
-  let rec go acc = function
-    | [] -> (None, List.rev acc)
-    | a :: v :: rest when a = flag -> (Some v, List.rev_append acc rest)
-    | a :: rest -> go (a :: acc) rest
-  in
-  go [] args
+  Json.Obj
+    [
+      ("schema", Json.Int 1);
+      ("kind", Json.String "bench-trajectory");
+      ("workload", Json.String (Fmt.str "%a" Workload.pp_spec spec));
+      ("quick", Json.Bool quick);
+      ("jobs", Json.Int jobs);
+      ("suite_wall_s", Json.Float (ms total));
+      ( "mode_breakdown",
+        Json.Obj
+          (List.map
+             (fun m -> (mode_name m ^ "_wall_s", Json.Float (ms (wall_of m))))
+             [ Fast; Cycle; Other ]) );
+      ( "experiments",
+        Json.List
+          (List.map
+             (fun (e, wall, ops, lat) ->
+               let wall = ms wall in
+               let rate =
+                 if wall > 0.0 then float_of_int ops /. wall else 0.0
+               in
+               Json.Obj
+                 ([
+                    ("name", Json.String e.name);
+                    ("mode", Json.String (mode_name e.mode));
+                    ("wall_s", Json.Float wall);
+                    ("ops", Json.Int ops);
+                    ("ops_per_s", number rate);
+                  ]
+                 @
+                 match lat with
+                 | None -> []
+                 | Some o ->
+                     [ ("latency", Nvml_runtime.Oplat.summary_json o) ]))
+             timings) );
+      ("metrics", metrics);
+    ]
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let args = List.filter (fun a -> a <> "--") args in
-  if List.mem "--list" args then begin
+  let args =
+    List.filter (fun a -> a <> "--") (List.tl (Array.to_list Sys.argv))
+  in
+  let values, set, selected = parse_args args in
+  if List.mem "--list" set then begin
     List.iter
-      (fun (name, doc, _) -> Printf.printf "%-14s %s\n" name doc)
-      all_experiments;
+      (fun e -> Printf.printf "%-14s %s\n" e.Experiments.name e.Experiments.doc)
+      Experiments.all;
     exit 0
   end;
-  let jobs_arg, args = extract_value_arg "--jobs" args in
-  let json_path, args = extract_value_arg "--json" args in
-  let bench_path, args = extract_value_arg "--bench" args in
-  let stats_path, args = extract_value_arg "--stats" args in
-  let trace_path, args = extract_value_arg "--trace" args in
-  let metrics_path, args = extract_value_arg "--metrics-json" args in
+  let value flag = List.assoc_opt flag values in
   let jobs =
-    match jobs_arg with
+    match value "--jobs" with
     | Some s -> (
         match int_of_string_opt s with
         | Some n when n >= 1 -> n
-        | _ ->
-            Printf.eprintf "--jobs expects a positive integer, got %S\n" s;
-            exit 1)
+        | _ -> fail "--jobs expects a positive integer, got %S" s)
     | None -> (
-        try Pool.default_jobs ()
-        with Invalid_argument msg ->
-          Printf.eprintf "%s\n" msg;
-          exit 1)
+        try Pool.default_jobs () with Invalid_argument msg -> fail "%s" msg)
   in
   (* Open the output sinks before the (long) run so a bad path fails fast. *)
-  let open_sink flag = function
-    | None -> None
-    | Some path -> (
-        try Some (open_out path)
-        with Sys_error msg ->
-          Printf.eprintf "%s: %s\n" flag msg;
-          exit 1)
+  let open_sink flag =
+    Option.map
+      (fun path ->
+        try open_out path with Sys_error msg -> fail "%s: %s" flag msg)
+      (value flag)
   in
-  let json_out = open_sink "--json" json_path in
-  let bench_out = open_sink "--bench" bench_path in
-  let stats_out = open_sink "--stats" stats_path in
-  let trace_out = open_sink "--trace" trace_path in
-  let metrics_out = open_sink "--metrics-json" metrics_path in
+  let bench_out = open_sink "--bench" in
+  let stats_out = open_sink "--stats" in
+  let trace_out = open_sink "--trace" in
+  let metrics_out = open_sink "--metrics-json" in
   (* [--trace] records the whole run: enable telemetry up front so the
      worker-pool sinks exist and merge into this domain's at each join. *)
   if trace_out <> None then Telemetry.set_enabled true;
-  let quick = List.mem "--quick" args in
-  let verbose = not (List.mem "--quiet" args) in
-  let selected =
-    List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args
-  in
+  let quick = List.mem "--quick" set in
+  let verbose = not (List.mem "--quiet" set) in
   let spec =
     if quick then Workload.scale Workload.paper_default 10
     else Workload.paper_default
   in
-  let pool = Pool.create ~jobs () in
-  let ctx = { Experiments.spec; verbose; pool } in
   let chosen =
     match selected with
-    | [] -> all_experiments
+    | [] -> Experiments.all
     | names ->
         List.map
           (fun n ->
             match
-              List.find_opt (fun (name, _, _) -> name = n) all_experiments
+              List.find_opt (fun e -> e.Experiments.name = n) Experiments.all
             with
             | Some e -> e
-            | None ->
-                Printf.eprintf "unknown experiment %S (try --list)\n" n;
-                exit 1)
+            | None -> fail "unknown experiment %S (try --list)" n)
           names
   in
+  let pool = Pool.create ~jobs () in
+  let ctx = { Experiments.spec; verbose; pool } in
   Printf.printf
     "nvml benchmark harness — workload: %s%s\n"
     (Fmt.str "%a" Workload.pp_spec spec)
@@ -275,28 +211,37 @@ let () =
   let t0 = Unix.gettimeofday () in
   let timings =
     List.map
-      (fun (name, _, f) ->
+      (fun e ->
         let te = Unix.gettimeofday () in
         ignore (Report.ops_take () : int);
         ignore (Report.lat_take ());
-        f ctx;
+        e.Experiments.run ctx;
         let wall = Unix.gettimeofday () -. te in
-        (name, wall, Report.ops_take (), Report.lat_take ()))
+        (e, wall, Report.ops_take (), Report.lat_take ()))
       chosen
   in
   let total = Unix.gettimeofday () -. t0 in
   Printf.printf "\nTotal wall time: %.1fs\n" total;
-  (match json_out with
-  | Some oc -> write_json oc ~spec ~quick ~jobs ~timings ~total
-  | None -> ());
-  (match bench_out with
-  | Some oc -> write_bench_json oc ~quick ~jobs ~timings ~total
-  | None -> ());
-  (match metrics_out with
-  | Some oc -> write_metrics_json oc
-  | None -> ());
-  (match stats_out with
-  | Some oc ->
+  let metrics = Report.metrics_snapshot () in
+  let metrics_json = metrics_object metrics in
+  let write oc doc =
+    Json.to_channel ~lines:2 oc doc;
+    output_char oc '\n';
+    close_out oc
+  in
+  Option.iter
+    (fun oc ->
+      write oc (bench_json ~spec ~quick ~jobs ~timings ~total metrics_json))
+    bench_out;
+  Option.iter
+    (fun oc ->
+      (* The metrics alone, without wall timings — byte-identical across
+         [--jobs N] by construction, which the determinism gate relies
+         on. *)
+      write oc (Json.Obj [ ("schema", Json.Int 1); ("metrics", metrics_json) ]))
+    metrics_out;
+  Option.iter
+    (fun oc ->
       (* The stats document from the profile run — produced on demand
          when the [profile] experiment was not part of the selection. *)
       let p =
@@ -306,11 +251,22 @@ let () =
       in
       Json.to_channel oc (Profile.stats_json p);
       output_char oc '\n';
-      close_out oc
-  | None -> ());
-  (match trace_out with
-  | Some oc ->
+      close_out oc)
+    stats_out;
+  Option.iter
+    (fun oc ->
       Telemetry.write_chrome_trace oc;
-      close_out oc
-  | None -> ());
-  Pool.shutdown pool
+      close_out oc)
+    trace_out;
+  Pool.shutdown pool;
+  (* Every experiment that ran is held to its declared invariants. *)
+  let failures =
+    List.concat_map
+      (fun (e, _, _, _) ->
+        List.map
+          (fun f -> Printf.sprintf "gate failed: %s: %s" e.Experiments.name f)
+          (Gate.check e.Experiments.gates metrics))
+      timings
+  in
+  List.iter prerr_endline failures;
+  if failures <> [] then exit 1

@@ -51,9 +51,9 @@ let with_commas n =
     s;
   Buffer.contents buf
 
-(* Headline metrics, accumulated as experiments print and emitted as
-   machine-readable JSON by the driver's [--json FILE] — the hook future
-   PRs use to track the perf trajectory.  Experiments may record metrics
+(* Headline metrics, accumulated as experiments print, written by the
+   driver's [--bench] and [--metrics-json] documents and checked against
+   each experiment's gates.  Experiments may record metrics
    from worker-domain tasks, so the list is mutex-guarded; ordering is
    whatever order [metric] is called in, which the driver keeps
    deterministic by recording from result values after the parallel

@@ -35,7 +35,28 @@ let float_repr x =
   if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
   else Printf.sprintf "%.6g" x
 
-let rec emit buf = function
+(* Members of containers nested less than [lines] deep go one per line,
+   indented two spaces a level; deeper containers print compact. *)
+let rec emit ~lines depth buf t =
+  let seq opening closing member xs =
+    let broken = depth < lines && xs <> [] in
+    let newline d =
+      if broken then begin
+        Buffer.add_char buf '\n';
+        Buffer.add_string buf (String.make (2 * d) ' ')
+      end
+    in
+    Buffer.add_char buf opening;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf ',';
+        newline (depth + 1);
+        member broken x)
+      xs;
+    newline depth;
+    Buffer.add_char buf closing
+  in
+  match t with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int n -> Buffer.add_string buf (string_of_int n)
@@ -44,32 +65,22 @@ let rec emit buf = function
       Buffer.add_char buf '"';
       Buffer.add_string buf (escape s);
       Buffer.add_char buf '"'
-  | List xs ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          emit buf x)
-        xs;
-      Buffer.add_char buf ']'
+  | List xs -> seq '[' ']' (fun _ x -> emit ~lines (depth + 1) buf x) xs
   | Obj kvs ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
+      seq '{' '}'
+        (fun broken (k, v) ->
           Buffer.add_char buf '"';
           Buffer.add_string buf (escape k);
-          Buffer.add_string buf "\":";
-          emit buf v)
-        kvs;
-      Buffer.add_char buf '}'
+          Buffer.add_string buf (if broken then "\": " else "\":");
+          emit ~lines (depth + 1) buf v)
+        kvs
 
-let to_string t =
+let to_string ?(lines = 0) t =
   let buf = Buffer.create 1024 in
-  emit buf t;
+  emit ~lines 0 buf t;
   Buffer.contents buf
 
-let to_channel oc t = output_string oc (to_string t)
+let to_channel ?lines oc t = output_string oc (to_string ?lines t)
 
 (* --- parsing ------------------------------------------------------------- *)
 

@@ -11,8 +11,11 @@ type t =
   | Obj of (string * t) list
 
 val escape : string -> string
-val to_string : t -> string
-val to_channel : out_channel -> t -> unit
+val to_string : ?lines:int -> t -> string
+(** Compact by default; with [~lines:n], the members of containers
+    nested less than [n] deep go one per line, indented. *)
+
+val to_channel : ?lines:int -> out_channel -> t -> unit
 
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document (ASCII; [\u] escapes above 127

@@ -473,6 +473,76 @@ let test_stats_json_shape () =
       check_bool "counter present" true
         (Json.path [ "counters"; "test.schema.c" ] doc = Some (Json.Int 1)))
 
+(* The line layout only adds whitespace: it parses back to the same
+   tree, and containers deeper than [lines] stay compact. *)
+let test_json_lines () =
+  let doc =
+    Json.Obj
+      [ ("a", Json.Int 1); ("b", Json.List [ Json.Obj [ ("c", Json.Null) ] ]) ]
+  in
+  Alcotest.(check string)
+    "layout" "{\n  \"a\": 1,\n  \"b\": [\n    {\"c\":null}\n  ]\n}"
+    (Json.to_string ~lines:2 doc);
+  check_bool "parse (print ~lines doc) = doc" true
+    (Json.of_string (Json.to_string ~lines:2 doc) = Ok doc)
+
+(* --- gates --------------------------------------------------------------- *)
+
+module Gate = Nvml_telemetry.Gate
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* [gate] holds on [pass]; on [fail] it fails, and every failure names
+   [key]. *)
+let gate_case name gate ~pass ~fail key =
+  Alcotest.test_case name `Quick (fun () ->
+      Alcotest.(check (list string)) "passing input" [] (gate pass);
+      match gate fail with
+      | [] -> Alcotest.fail "failing input passed"
+      | msgs ->
+          List.iter
+            (fun m ->
+              if not (contains m key) then
+                Alcotest.failf "failure %S does not name %s" m key)
+            msgs)
+
+let group =
+  Gate.groups ~prefix:"g." ~suffix:".n" (fun g -> [ Gate.positive (g ^ ".n") ])
+
+let gate_cases =
+  [
+    gate_case "present" (Gate.present "a") ~pass:[ ("a", 0.0) ]
+      ~fail:[ ("b", 0.0) ] "a";
+    gate_case "positive" (Gate.positive "a") ~pass:[ ("a", 1.0) ]
+      ~fail:[ ("a", 0.0) ] "a";
+    gate_case "nonneg" (Gate.nonneg "a") ~pass:[ ("a", 0.0) ]
+      ~fail:[ ("a", -1.0) ] "a";
+    gate_case "zero" (Gate.zero "a") ~pass:[ ("a", 0.0) ] ~fail:[ ("a", 2.0) ]
+      "a";
+    gate_case "unit interval" (Gate.unit_interval "a") ~pass:[ ("a", 1.0) ]
+      ~fail:[ ("a", 1.5) ] "a";
+    gate_case "ladder" (Gate.ladder [ "a"; "b"; "c" ])
+      ~pass:[ ("a", 1.0); ("b", 2.0); ("c", 2.0) ]
+      ~fail:[ ("a", 1.0); ("b", 3.0); ("c", 2.0) ] "b";
+    gate_case "le" (Gate.le "a" "b") ~pass:[ ("a", 1.0); ("b", 1.0) ]
+      ~fail:[ ("a", 2.0); ("b", 1.0) ] "a";
+    gate_case "fractions sum to 1" (Gate.fractions [ "a"; "b" ])
+      ~pass:[ ("a", 0.25); ("b", 0.75) ]
+      ~fail:[ ("a", 0.5); ("b", 0.4) ] "a";
+    gate_case "fractions all zero" (Gate.fractions [ "a"; "b" ])
+      ~pass:[ ("a", 0.0); ("b", 0.0) ]
+      ~fail:[ ("a", 0.0); ("b", 1.5) ] "b";
+    gate_case "groups check each" group ~pass:[ ("g.x.n", 1.0); ("g.y.n", 2.0) ]
+      ~fail:[ ("g.x.n", 1.0); ("g.y.n", 0.0) ] "g.y.n";
+    gate_case "groups need one" group ~pass:[ ("g.x.n", 1.0) ]
+      ~fail:[ ("h.x.n", 1.0) ] "g.*.n";
+  ]
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -527,5 +597,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "stats shape" `Quick test_stats_json_shape;
+          Alcotest.test_case "line layout" `Quick test_json_lines;
         ] );
+      ("gate", gate_cases);
     ]
