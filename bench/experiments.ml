@@ -15,10 +15,9 @@ module Site = Nvml_runtime.Site
 module Registry = Nvml_structures.Registry
 module Workload = Nvml_ycsb.Workload
 module Harness = Nvml_kvstore.Harness
-module Matrix = Nvml_mlkit.Matrix
 module Iris = Nvml_mlkit.Iris
 module Knn = Nvml_mlkit.Knn
-module Interp = Nvml_minic.Interp
+module Soundness = Nvml_comp.Soundness
 module Corpus = Nvml_minic.Corpus
 module Inference = Nvml_comp.Inference
 module Gate = Nvml_telemetry.Gate
@@ -54,28 +53,25 @@ let matrix ctx name mode =
    [--jobs 1] reproduces the pre-parallel output byte for byte. *)
 let par_map ctx f xs = Nvml_exec.Pool.map ctx.pool f xs
 
-(* Populate [matrix_cache] for the given cells in parallel.  A no-op
-   with one job: the lazy [matrix] fills the cache in the sequential
-   order instead, preserving the exact sequential behaviour.  Cells are
+(* Populate [matrix_cache] for the given cells through the pool.  With
+   one job the pool runs them inline in submission order.  Cells are
    share-nothing (each builds its own [Runtime.t] and seeds its RNG
    from the spec), so the cached results are independent of worker
    count and scheduling. *)
 let prefetch ctx cells =
-  if Nvml_exec.Pool.jobs ctx.pool > 1 then begin
-    let seen = Hashtbl.create 16 in
-    let todo =
-      List.filter
-        (fun cell ->
-          if Hashtbl.mem matrix_cache cell || Hashtbl.mem seen cell then false
-          else begin
-            Hashtbl.add seen cell ();
-            true
-          end)
-        cells
-    in
-    let results = par_map ctx (fun (name, mode) -> run_one ctx name mode) todo in
-    List.iter2 (fun cell r -> Hashtbl.replace matrix_cache cell r) todo results
-  end
+  let seen = Hashtbl.create 16 in
+  let todo =
+    List.filter
+      (fun cell ->
+        if Hashtbl.mem matrix_cache cell || Hashtbl.mem seen cell then false
+        else begin
+          Hashtbl.add seen cell ();
+          true
+        end)
+      cells
+  in
+  let results = par_map ctx (fun (name, mode) -> run_one ctx name mode) todo in
+  List.iter2 (fun cell r -> Hashtbl.replace matrix_cache cell r) todo results
 
 (* Every (benchmark x mode) cell an experiment over [names] consumes,
    volatile included (the normalization denominator). *)
@@ -428,36 +424,13 @@ let fig15 ctx =
 
 (* --- KNN case study ------------------------------------------------------------- *)
 
-let knn_run mode =
-  let rt = Runtime.create ~mode () in
-  let pool =
-    match mode with
-    | Runtime.Volatile -> -1
-    | _ -> Runtime.create_pool rt ~name:"knn" ~size:(1 lsl 21)
-  in
-  let placement =
-    match mode with
-    | Runtime.Volatile -> Knn.all_dram
-    | _ -> Knn.paper_placement ~pool
-  in
-  let data = Iris.generate () in
-  let t =
-    Knn.create rt placement ~n:Iris.total_samples ~dims:Iris.features_per_sample
-      ~k:3
-  in
-  Knn.load_input t data.Iris.features;
-  let s0 = Runtime.snapshot rt in
-  Knn.run rt t;
-  let s1 = Runtime.snapshot rt in
-  (Knn.accuracy t data.Iris.labels, Cpu.diff_snapshot s1 s0)
-
 let knn _ctx =
   heading "Case study (Sec. VII-E): KNN over iris, all matrices persisted but input";
-  let acc_v, vol = knn_run Runtime.Volatile in
+  let _, vol = Knn.case_study Runtime.Volatile in
   let rows =
     List.map
       (fun mode ->
-        let acc, s = knn_run mode in
+        let acc, s = Knn.case_study mode in
         let m = float_of_int (max 1 s.Cpu.mem_accesses) in
         [
           Runtime.mode_name mode;
@@ -467,7 +440,6 @@ let knn _ctx =
         ])
       [ Runtime.Volatile; Runtime.Hw; Runtime.Sw; Runtime.Explicit ]
   in
-  ignore acc_v;
   (* 5 KNN kernel runs (volatile reference + 4 modes), one classified
      sample per op *)
   Report.ops_add (5 * Iris.total_samples);
@@ -528,56 +500,23 @@ let fig9 _ctx =
 
 (* --- soundness (Sec. VII-B) ------------------------------------------------------ *)
 
-let run_minic ?plan ~mode ~persistent program =
-  let rt = Runtime.create ~mode () in
-  let heap =
-    if persistent && mode <> Runtime.Volatile then
-      Runtime.Pool_region (Runtime.create_pool rt ~name:"heap" ~size:(1 lsl 22))
-    else Runtime.Dram_region
-  in
-  (Interp.run rt ?plan ~heap program ~args:[]).Interp.output
-
 let soundness _ctx =
   heading "Soundness (Sec. VII-B): corpus under native vs pmalloc-everything heaps";
-  let total = ref 0 and passed = ref 0 in
-  let rows =
-    List.map
-      (fun (name, program) ->
-        let reference = run_minic ~mode:Runtime.Volatile ~persistent:false program in
-        let check mode persistent =
-          incr total;
-          let ok = run_minic ~mode ~persistent program = reference in
-          if ok then incr passed;
-          if ok then "ok" else "FAIL"
-        in
-        let plan_check () =
-          incr total;
-          let inference = Inference.infer program in
-          let plan = Inference.plan inference in
-          let ok =
-            run_minic ~plan ~mode:Runtime.Sw ~persistent:true program = reference
-          in
-          if ok then incr passed;
-          if ok then "ok" else "FAIL"
-        in
-        [
-          name;
-          check Runtime.Sw false;
-          check Runtime.Sw true;
-          check Runtime.Hw false;
-          check Runtime.Hw true;
-          plan_check ();
-        ])
-      Corpus.all
-  in
+  let rows = Soundness.run () in
   table
-    ~header:
-      [ "Program"; "SW/DRAM"; "SW/NVM"; "HW/DRAM"; "HW/NVM"; "SW+inference" ]
-    rows;
+    ~header:("Program" :: List.map Soundness.config_name Soundness.configs)
+    (List.map
+       (fun (name, checks) ->
+         name :: List.map (fun (_, ok) -> if ok then "ok" else "FAIL") checks)
+       rows);
+  let total = List.length rows * List.length Soundness.configs in
+  let mismatches = Soundness.mismatches rows in
+  metric "soundness.mismatches" (float_of_int mismatches);
   (* one op per corpus execution: the checks plus one reference run
      per program *)
-  Report.ops_add (!total + List.length Corpus.all);
-  Printf.printf "%d/%d runs match the native output.\n" !passed !total;
+  Report.ops_add (total + List.length rows);
+  Printf.printf "%d/%d runs match the native output.\n" (total - mismatches)
+    total;
   Printf.printf
     "(Paper: all 267 application + 1518 regression tests of the LLVM\n\
     \ test-suite pass under the SW implementation.)\n"
@@ -1865,7 +1804,8 @@ let all =
     e "profile" Cycle "telemetry: check sites, lookasides, cycles" profile;
     e "table6" Cycle "relocation overhead comparison" table6;
     e "knn" Cycle "KNN case study + productivity" knn;
-    e "soundness" Cycle "mini-C corpus soundness runs" soundness;
+    e "soundness" Cycle "mini-C corpus soundness runs" soundness
+      ~gates:[ Gate.zero "soundness.mismatches" ];
     e "compiler" Other "pointer-property inference stats" compiler;
     e "productivity" Other "library migration cost table" productivity;
     e "ablation" Cycle "design-choice ablations" ablation;

@@ -7,7 +7,10 @@
      nvml knn --mode sw
      nvml soundness
      nvml inference
-     nvml info *)
+     nvml info
+
+   Each command parses its flags, checks them, calls one library runner
+   and prints the result. *)
 
 open Cmdliner
 module Cpu = Nvml_arch.Cpu
@@ -16,11 +19,11 @@ module Runtime = Nvml_runtime.Runtime
 module Harness = Nvml_kvstore.Harness
 module Driver = Nvml_kvstore.Driver
 module Workload = Nvml_ycsb.Workload
-module Iris = Nvml_mlkit.Iris
 module Knn = Nvml_mlkit.Knn
 module Corpus = Nvml_minic.Corpus
 module Interp = Nvml_minic.Interp
 module Inference = Nvml_comp.Inference
+module Soundness = Nvml_comp.Soundness
 module Pool = Nvml_exec.Pool
 module Faultinject = Nvml_faultinject.Faultinject
 module Modelcheck = Nvml_modelcheck.Modelcheck
@@ -40,7 +43,92 @@ module Registry = Nvml_structures.Registry
 module Intf = Nvml_structures.Intf
 module Persist = Nvml_runtime.Persist
 
-(* --- shared argument converters ---------------------------------------- *)
+(* --- input checks -------------------------------------------------------- *)
+
+(* Every bad value ends here, before any simulation runs: one stderr
+   line naming the flag, exit 1.  Exit 2 is the scrub's misprediction
+   verdict; cmdliner's own syntax errors exit 124. *)
+let reject fmt = Fmt.kstr (fun m -> Fmt.epr "%s@." m; exit 1) fmt
+
+(* Runners check what only they can judge (a crash point against the
+   workload's events, k against the sample count) and raise
+   Invalid_argument naming the flag. *)
+let guarded f = try f () with Invalid_argument m -> reject "%s" m
+
+let at_least flag lo v =
+  if v < lo then reject "%s must be >= %d, got %d" flag lo v
+
+(* An integer flag whose floor is checked as the command line is parsed. *)
+let checked flag lo arg = Term.(const (fun v -> at_least flag lo v; v) $ arg)
+
+(* The entry of [valid] that [v] names, case-insensitively. *)
+let one_of flag valid v =
+  match
+    List.find_opt
+      (fun n -> String.lowercase_ascii n = String.lowercase_ascii v)
+      valid
+  with
+  | Some n -> n
+  | None -> reject "%s expects %s, got %S" flag (String.concat "|" valid) v
+
+(* [--structure] against the names the chosen runner accepts. *)
+let check_structure valid s = ignore (one_of "--structure" valid s : string)
+
+(* --- output files -------------------------------------------------------- *)
+
+(* A file a run writes: [flag] names it on the command line and [what]
+   in the confirmation line.  A [telemetry] output dumps the run's
+   telemetry sink; the others write from the run's result. *)
+type 'r output = {
+  flag : string;
+  what : string;
+  path : string option;
+  telemetry : bool;
+  write : out_channel -> 'r -> unit;
+}
+
+let output ?(telemetry = false) flag what path write =
+  { flag; what; path; telemetry; write }
+
+let stats_output path =
+  output ~telemetry:true "--stats" "stats" path (fun oc _ ->
+      Telemetry.write_stats_json oc)
+
+(* Open every requested file before the run, so a bad path fails before
+   any simulation; run [f] in one fresh telemetry sink when an output
+   dumps telemetry; then write each file from the result, in order. *)
+let with_outputs outputs f =
+  let opened =
+    List.filter_map
+      (fun o ->
+        Option.map
+          (fun path ->
+            match open_out path with
+            | oc -> (o, path, oc)
+            | exception Sys_error m -> reject "%s: %s" o.flag m)
+          o.path)
+      outputs
+  in
+  let run () =
+    let r = f () in
+    List.iter
+      (fun (o, path, oc) ->
+        o.write oc r;
+        close_out oc;
+        Fmt.epr "%s written to %s@." o.what path)
+      opened;
+    r
+  in
+  if List.exists (fun (o, _, _) -> o.telemetry) opened then begin
+    Telemetry.set_enabled true;
+    Telemetry.run_with_sink (Telemetry.fresh_sink ()) run
+  end
+  else run ()
+
+(* --- the flag vocabulary ------------------------------------------------- *)
+
+(* Each flag is declared once; where commands differ, the declaration
+   takes the per-command default and doc. *)
 
 let mode_conv =
   let parse s =
@@ -77,12 +165,6 @@ let persist_arg =
            detach / end of run).  Relaxed models trade a bounded window of \
            committed-but-lost operations after a crash for cheaper stores.")
 
-(* Case-insensitive membership for name-list validation. *)
-let known name names =
-  List.exists
-    (fun n -> String.lowercase_ascii n = String.lowercase_ascii name)
-    names
-
 let dist_conv =
   let parse s =
     match String.lowercase_ascii s with
@@ -104,8 +186,15 @@ let dist_conv =
   in
   Arg.conv (parse, print)
 
-let jobs_arg =
+let dist_arg =
   Arg.(
+    value
+    & opt dist_conv Workload.Latest
+    & info [ "distribution"; "d" ] ~doc:"Key distribution.")
+
+let jobs_arg =
+  checked "--jobs" 0
+  @@ Arg.(
     value
     & opt int 0
     & info [ "jobs"; "j" ] ~docv:"N"
@@ -114,15 +203,9 @@ let jobs_arg =
            else the recommended domain count). Cells are share-nothing, so \
            results match --jobs 1 exactly.")
 
-let resolve_jobs n = if n >= 1 then n else Pool.default_jobs ()
-
-(* Run [f] on a domain pool of [--jobs] workers, shut down afterwards. *)
-let with_pool jobs f =
-  let pool = Pool.create ~jobs:(resolve_jobs jobs) () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
-
 let cores_arg =
-  Arg.(
+  checked "--cores" 1
+  @@ Arg.(
     value & opt int 1
     & info [ "cores" ] ~docv:"N"
         ~doc:
@@ -131,6 +214,68 @@ let cores_arg =
            scheduler. 1 (the default) is the single-core machine, \
            byte-identical to previous releases.")
 
+let structure_arg doc =
+  Arg.(value & opt string "RB" & info [ "structure"; "s" ] ~docv:"NAME" ~doc)
+
+let kv_structures_doc =
+  "Index structure: LL, Hash, RB, Splay, AVL, SG, Skip, BTree or Radix."
+
+let records_arg ~default doc =
+  Arg.(value & opt int default & info [ "records" ] ~docv:"N" ~doc)
+
+let ops_arg ~default doc =
+  Arg.(value & opt int default & info [ "ops" ] ~docv:"N" ~doc)
+
+let seed_arg ~default doc =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc)
+
+let seeds_arg =
+  checked "--seeds" 1
+  @@ Arg.(
+    value & opt int 1
+    & info [ "seeds" ] ~docv:"N"
+        ~doc:"Sweep $(docv) consecutive seeds starting at --seed.")
+
+let stats_arg doc =
+  Arg.(value & opt (some string) None & info [ "stats" ] ~docv:"FILE" ~doc)
+
+let fast_arg doc = Arg.(value & flag & info [ "fast" ] ~doc)
+
+(* The verification engines (fuzz, faultinject) default to fast
+   functional simulation and offer the cycle-accurate core as an
+   opt-out. *)
+let timing_arg =
+  Arg.(
+    value & flag
+    & info [ "timing" ]
+        ~doc:
+          "Run the cycle-accurate core instead of the default fast \
+           functional mode.  Functional results (checks, crash points, \
+           verdicts, reports) are identical either way; only wall-clock \
+           and timing statistics differ.")
+
+(* Run [f] on a domain pool of [--jobs] workers, shut down afterwards. *)
+let with_pool jobs f =
+  let jobs = if jobs >= 1 then jobs else guarded Pool.default_jobs in
+  let pool = Pool.create ~jobs () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+
+(* A KV workload needs at least one record and a non-negative op count. *)
+let check_kv_counts ~records ~ops =
+  at_least "--records" 1 records;
+  at_least "--ops" 0 ops
+
+let spec_of ~records ~ops ~dist =
+  check_kv_counts ~records ~ops;
+  {
+    Workload.paper_default with
+    Workload.record_count = records;
+    operation_count = ops;
+    distribution = dist;
+  }
+
+(* --- reports ------------------------------------------------------------- *)
+
 let print_cluster_stats cluster =
   let s = Cluster.stats cluster in
   Fmt.epr
@@ -138,8 +283,6 @@ let print_cluster_stats cluster =
      invalidations@."
     s.Multicore.steps s.Multicore.contended_steps s.Multicore.switches
     s.Multicore.invalidations
-
-(* --- kv ------------------------------------------------------------------ *)
 
 let print_result (r : Harness.result) =
   let s = r.Harness.run in
@@ -230,49 +373,83 @@ let print_serving (t : Serving.t) =
       t.Serving.per_shard
   end
 
-(* Workload arguments shared by [kv] and [stats]. *)
-let structure_arg =
-  Arg.(
-    value & opt string "RB"
-    & info [ "structure"; "s" ] ~docv:"NAME"
-        ~doc:"Index structure: LL, Hash, RB, Splay, AVL, SG, Skip, BTree or Radix.")
+(* The [--compare] table: one row per mode, normalized to the first. *)
+let print_compare latency results =
+  let base =
+    match results with
+    | r :: _ -> float_of_int r.Harness.run.Cpu.cycles
+    | [] -> 1.
+  in
+  Fmt.pr "%-10s %14s %9s %12s %10s@." "mode" "cycles" "vs vol"
+    "NVM accesses" "checks";
+  List.iter
+    (fun (r : Harness.result) ->
+      let s = r.Harness.run in
+      Fmt.pr "%-10s %14d %9s %12d %10d@."
+        (Runtime.mode_name r.Harness.mode)
+        s.Cpu.cycles
+        (if base = 0. then "n/a"
+         else Fmt.str "%.2fx" (float_of_int s.Cpu.cycles /. base))
+        s.Cpu.nvm_accesses r.Harness.checks.Harness.dynamic_checks)
+    results;
+  if latency then begin
+    Fmt.pr "@.per-op latency (cycles)@.";
+    Fmt.pr "%-10s %9s %9s %9s %9s %9s@." "mode" "p50" "p90" "p99" "p999"
+      "max";
+    List.iter
+      (fun (r : Harness.result) ->
+        let s = Latency.summary (Oplat.latency r.Harness.oplat) in
+        Fmt.pr "%-10s %9d %9d %9d %9d %9d@."
+          (Runtime.mode_name r.Harness.mode)
+          s.Latency.p50 s.Latency.p90 s.Latency.p99 s.Latency.p999
+          s.Latency.max)
+      results
+  end
 
-let records_arg =
-  Arg.(value & opt int 10_000 & info [ "records" ] ~doc:"Initial records.")
+(* --- kv ------------------------------------------------------------------ *)
 
-let ops_arg =
-  Arg.(value & opt int 100_000 & info [ "ops" ] ~doc:"Run-phase operations.")
-
-let dist_arg =
-  Arg.(
-    value
-    & opt dist_conv Workload.Latest
-    & info [ "distribution"; "d" ] ~doc:"Key distribution.")
-
-(* A KV workload needs at least one record and a non-negative op count. *)
-let check_kv_counts ~records ~ops =
-  let bad flag range v = Fmt.epr "%s must be %s, got %d@." flag range v; exit 1 in
-  if records < 1 then bad "--records" ">= 1" records;
-  if ops < 0 then bad "--ops" ">= 0" ops
-
-let spec_of ~records ~ops ~dist =
-  check_kv_counts ~records ~ops;
-  {
-    Workload.paper_default with
-    Workload.record_count = records;
-    operation_count = ops;
-    distribution = dist;
-  }
+(* Replicated multi-core run: each core drives its own index instance
+   (in its own pool, so persistent-allocator metadata stays disjoint)
+   through the seeded µ-event scheduler; the cores contend on the
+   shared L2/L3/POLB/VALB. *)
+let run_kv_cores ~structure ~mode ~persist ~fast ~cores spec =
+  let (module M : Intf.ORDERED_MAP) = Registry.find_map structure in
+  let rt = Runtime.create ~mode ~timing:(not fast) ~persist () in
+  let cluster = Cluster.create ~cores rt in
+  let regions =
+    Array.init cores (fun i ->
+        Driver.region rt mode ~pool:(Printf.sprintf "kv%d" i))
+  in
+  let stream = Driver.stream spec in
+  let records = spec.Workload.record_count in
+  let body core =
+    let crt = Cluster.rt cluster core in
+    let m = M.create crt regions.(core) in
+    for i = 0 to records - 1 do
+      M.insert m ~key:(Workload.key_of_index i) ~value:(Int64.of_int i)
+    done;
+    for j = 0 to Driver.length stream - 1 do
+      Driver.apply_at (module M) m stream j;
+      (* Per-core epoch boundary: each core's op count drives its own
+         epoch clock; the drains serialize through the shared persist
+         engine. *)
+      Runtime.persist_op_boundary crt
+    done
+  in
+  Cluster.run cluster (Array.init cores (fun _ -> body));
+  Runtime.persist_sync rt;
+  Fmt.pr "multi-core kv  %s (%s), %d cores, %d records + %d ops per core@."
+    M.name (Runtime.mode_name mode) cores records spec.Workload.operation_count;
+  Array.iteri
+    (fun i crt ->
+      let s = Runtime.snapshot crt in
+      Fmt.pr "core %d      %d cycles, %d instructions, IPC %.3f@." i
+        s.Cpu.cycles s.Cpu.instrs
+        (float_of_int s.Cpu.instrs /. float_of_int (max 1 s.Cpu.cycles)))
+    (Cluster.rts cluster);
+  print_cluster_stats cluster
 
 let kv_cmd =
-  let stats_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats" ] ~docv:"FILE"
-          ~doc:"Record telemetry during the run and write the stats JSON \
-                document to $(docv).")
-  in
   let trace_arg =
     Arg.(
       value
@@ -299,15 +476,6 @@ let kv_cmd =
              percentiles (p50/p90/p99/p999/max), whole-run component \
              attribution and the slowest retained operations.")
   in
-  let fast_arg =
-    Arg.(
-      value & flag
-      & info [ "fast" ]
-          ~doc:
-            "Fast functional mode: skip cache/TLB/branch/storeP timing \
-             models. Latencies then read cycles = instructions with all \
-             non-base components zero.")
-  in
   let slow_trace_arg =
     Arg.(
       value
@@ -319,7 +487,8 @@ let kv_cmd =
              timestamps) to $(docv).")
   in
   let shards_arg =
-    Arg.(
+    checked "--shards" 1
+    @@ Arg.(
       value & opt int 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
@@ -328,7 +497,8 @@ let kv_cmd =
              selects the serving engine instead of the single-pool harness.")
   in
   let batch_arg =
-    Arg.(
+    checked "--batch" 1
+    @@ Arg.(
       value & opt int 1
       & info [ "batch" ] ~docv:"N"
           ~doc:
@@ -357,146 +527,56 @@ let kv_cmd =
   in
   let run structure mode persist records ops dist compare jobs stats_file
       trace_file latency fast slow_trace shards batch front_cache mix cores =
-    let reject fmt = Fmt.kstr (fun m -> Fmt.epr "%s@." m; exit 1) fmt in
-    if shards < 1 then reject "--shards must be >= 1, got %d" shards;
-    if batch < 1 then reject "--batch must be >= 1, got %d" batch;
     if front_cache < 0 || (front_cache > 0 && front_cache < shards) then
       reject "--front-cache must be 0 or >= --shards (%d), got %d" shards
         front_cache;
-    if cores < 1 then reject "--cores must be >= 1, got %d" cores;
     let spec = spec_of ~records ~ops ~dist in
-    (* With [--stats]/[--trace], record the run in a fresh telemetry
-       sink and dump it before returning (the dumps read the sink). *)
-    let dump () =
-      let write flag path emit =
-        match open_out path with
-        | oc ->
-            emit oc;
-            close_out oc;
-            Fmt.epr "%s written to %s@." flag path
-        | exception Sys_error msg ->
-            Fmt.epr "--%s: %s@." flag msg;
-            exit 1
-      in
-      Option.iter
-        (fun path -> write "stats" path Telemetry.write_stats_json)
-        stats_file;
-      Option.iter
-        (fun path -> write "trace" path Telemetry.write_chrome_trace)
-        trace_file
-    in
-    let instrumented f =
-      if stats_file = None && trace_file = None then f ()
-      else begin
-        Telemetry.set_enabled true;
-        Telemetry.run_with_sink (Telemetry.fresh_sink ()) (fun () ->
-            let r = f () in
-            dump ();
-            r)
-      end
-    in
-    let write_slow_trace oplats =
-      Option.iter
-        (fun path ->
-          let agg = Oplat.create ~cell:structure () in
-          List.iter (fun o -> Oplat.merge_into ~dst:agg o) oplats;
-          match open_out path with
-          | oc ->
-              Oplat.write_slow_trace oc agg;
-              close_out oc;
-              Fmt.epr "slow-op trace written to %s@." path
-          | exception Sys_error msg ->
-              Fmt.epr "--slow-trace: %s@." msg;
-              exit 1)
-        slow_trace
-    in
-    let with_timing f =
-      if fast then Runtime.with_default_timing false f else f ()
-    in
     let serving = shards > 1 || batch > 1 || front_cache > 0 || mix <> None in
-    if serving && compare then begin
-      Fmt.epr "--compare is not supported with the serving engine flags@.";
-      exit 1
-    end;
+    if serving && compare then
+      reject "--compare is not supported with the serving engine flags";
     if cores > 1 && serving then
       reject
         "--cores > 1 is not supported with the serving-engine flags \
          (--shards/--batch/--front-cache/--mix)";
     if cores > 1 && compare then
       reject "--cores > 1 is not supported with --compare";
+    if cores > 1 && (latency || slow_trace <> None) then
+      reject "--cores > 1 is not supported with --latency or --slow-trace";
     if serving && not (Persist.is_eager persist) then
       reject
         "--persist %s is not supported with the serving-engine flags \
          (--shards/--batch/--front-cache/--mix); the serving engine is \
          eager-only"
         (Persist.model_name persist);
-    (* Validate the structure name up front so a typo produces the valid
-       list instead of an uncaught exception deep in a harness. *)
-    (let valid = if serving then Registry.map_names else Registry.benchmark_names in
-     if not (known structure valid) then
-       reject "--structure expects %s, got %S" (String.concat "|" valid)
-         structure);
-    with_timing @@ fun () ->
-    instrumented @@ fun () ->
+    check_structure
+      (if serving || cores > 1 then Registry.map_names else Harness.structures)
+      structure;
+    let spec =
+      match mix with
+      | None -> spec
+      | Some name ->
+          let mixes = Workload.serving_mixes ~records ~ops in
+          List.assoc (one_of "--mix" (List.map fst mixes) name) mixes
+    in
+    let outputs =
+      [
+        output "--slow-trace" "slow-op trace" slow_trace (fun oc oplats ->
+            let agg = Oplat.create ~cell:structure () in
+            List.iter (fun o -> Oplat.merge_into ~dst:agg o) oplats;
+            Oplat.write_slow_trace oc agg);
+        stats_output stats_file;
+        output ~telemetry:true "--trace" "trace" trace_file (fun oc _ ->
+            Telemetry.write_chrome_trace oc);
+      ]
+    in
+    let timing f = if fast then Runtime.with_default_timing false f else f () in
+    ignore @@ timing @@ fun () ->
+    with_outputs outputs @@ fun () ->
     if cores > 1 then begin
-      (* Replicated multi-core run: each core drives its own index
-         instance (in its own pool, so persistent-allocator metadata
-         stays disjoint) through the seeded µ-event scheduler; the cores
-         contend on the shared L2/L3/POLB/VALB. *)
-      let (module M : Intf.ORDERED_MAP) =
-        try Registry.find_map structure
-        with Invalid_argument m -> reject "%s" m
-      in
-      let rt = Runtime.create ~mode ~timing:(not fast) ~persist () in
-      let cluster = Cluster.create ~cores rt in
-      let regions =
-        Array.init cores (fun i ->
-            Driver.region rt mode ~pool:(Printf.sprintf "kv%d" i))
-      in
-      let stream = Driver.stream spec in
-      let body core =
-        let crt = Cluster.rt cluster core in
-        let m = M.create crt regions.(core) in
-        for i = 0 to records - 1 do
-          M.insert m ~key:(Workload.key_of_index i) ~value:(Int64.of_int i)
-        done;
-        for j = 0 to Driver.length stream - 1 do
-          Driver.apply_at (module M) m stream j;
-          (* Per-core epoch boundary: each core's op count drives its
-             own epoch clock; the drains serialize through the shared
-             persist engine. *)
-          Runtime.persist_op_boundary crt
-        done
-      in
-      Cluster.run cluster (Array.init cores (fun _ -> body));
-      Runtime.persist_sync rt;
-      Fmt.pr "multi-core kv  %s (%s), %d cores, %d records + %d ops per core@."
-        M.name (Runtime.mode_name mode) cores records ops;
-      Array.iteri
-        (fun i crt ->
-          let s = Runtime.snapshot crt in
-          Fmt.pr "core %d      %d cycles, %d instructions, IPC %.3f@." i
-            s.Cpu.cycles s.Cpu.instrs
-            (float_of_int s.Cpu.instrs /. float_of_int (max 1 s.Cpu.cycles)))
-        (Cluster.rts cluster);
-      print_cluster_stats cluster
+      run_kv_cores ~structure ~mode ~persist ~fast ~cores spec;
+      []
     end
     else if serving then begin
-      let spec =
-        match mix with
-        | None -> spec
-        | Some name -> (
-            match
-              List.assoc_opt name (Workload.serving_mixes ~records ~ops)
-            with
-            | Some s -> s
-            | None ->
-                let valid =
-                  List.map fst (Workload.serving_mixes ~records ~ops)
-                in
-                reject "--mix expects %s, got %S" (String.concat "|" valid)
-                  name)
-      in
       let config =
         Serving.default_config ~structure ~mode ~shards ~batch ~front_cache
           spec
@@ -506,78 +586,64 @@ let kv_cmd =
       in
       print_serving report;
       if latency then print_latency report.Serving.oplat;
-      write_slow_trace [ report.Serving.oplat ]
+      [ report.Serving.oplat ]
     end
     else if not compare then begin
       let r = Harness.run_benchmark structure ~mode ~persist spec in
       print_result r;
       if latency then print_latency r.Harness.oplat;
-      write_slow_trace [ r.Harness.oplat ]
+      [ r.Harness.oplat ]
     end
     else begin
-      let modes =
-        [ Runtime.Volatile; Runtime.Explicit; Runtime.Sw; Runtime.Hw ]
-      in
       let results =
         with_pool jobs (fun pool ->
             Pool.map pool
               (fun mode -> Harness.run_benchmark structure ~mode ~persist spec)
-              modes)
+              [ Runtime.Volatile; Runtime.Explicit; Runtime.Sw; Runtime.Hw ])
       in
-      let base =
-        match results with
-        | r :: _ -> float_of_int r.Harness.run.Cpu.cycles
-        | [] -> 1.
-      in
-      Fmt.pr "%-10s %14s %9s %12s %10s@." "mode" "cycles" "vs vol"
-        "NVM accesses" "checks";
-      List.iter
-        (fun (r : Harness.result) ->
-          let s = r.Harness.run in
-          Fmt.pr "%-10s %14d %9s %12d %10d@."
-            (Runtime.mode_name r.Harness.mode)
-            s.Cpu.cycles
-            (if base = 0. then "n/a"
-             else Fmt.str "%.2fx" (float_of_int s.Cpu.cycles /. base))
-            s.Cpu.nvm_accesses r.Harness.checks.Harness.dynamic_checks)
-        results;
-      if latency then begin
-        Fmt.pr "@.per-op latency (cycles)@.";
-        Fmt.pr "%-10s %9s %9s %9s %9s %9s@." "mode" "p50" "p90" "p99" "p999"
-          "max";
-        List.iter
-          (fun (r : Harness.result) ->
-            let s = Latency.summary (Oplat.latency r.Harness.oplat) in
-            Fmt.pr "%-10s %9d %9d %9d %9d %9d@."
-              (Runtime.mode_name r.Harness.mode)
-              s.Latency.p50 s.Latency.p90 s.Latency.p99 s.Latency.p999
-              s.Latency.max)
-          results
-      end;
-      write_slow_trace
-        (List.map (fun (r : Harness.result) -> r.Harness.oplat) results)
+      print_compare latency results;
+      List.map (fun (r : Harness.result) -> r.Harness.oplat) results
     end
   in
   Cmd.v
     (Cmd.info "kv" ~doc:"Run a YCSB workload against an index structure.")
     Term.(
-      const run $ structure_arg $ mode_arg $ persist_arg $ records_arg
-      $ ops_arg $ dist_arg $ compare_arg $ jobs_arg $ stats_arg $ trace_arg
-      $ latency_arg $ fast_arg $ slow_trace_arg $ shards_arg $ batch_arg
-      $ front_cache_arg $ mix_arg $ cores_arg)
+      const run
+      $ structure_arg kv_structures_doc
+      $ mode_arg $ persist_arg
+      $ records_arg ~default:10_000 "Initial records."
+      $ ops_arg ~default:100_000 "Run-phase operations."
+      $ dist_arg $ compare_arg $ jobs_arg
+      $ stats_arg
+          "Record telemetry during the run and write the stats JSON \
+           document to $(docv)."
+      $ trace_arg $ latency_arg
+      $ fast_arg
+          "Fast functional mode: skip cache/TLB/branch/storeP timing \
+           models. Latencies then read cycles = instructions with all \
+           non-base components zero."
+      $ slow_trace_arg $ shards_arg $ batch_arg $ front_cache_arg $ mix_arg
+      $ cores_arg)
 
 (* --- stats --------------------------------------------------------------- *)
 
 let stats_cmd =
-  let output =
+  let output_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "output"; "o" ] ~docv:"FILE"
           ~doc:"Write the stats JSON document to $(docv).")
   in
-  let run structure records ops dist output jobs =
+  let run structure records ops dist path jobs =
     let spec = spec_of ~records ~ops ~dist in
+    check_structure Harness.structures structure;
+    let write oc p =
+      Json.to_channel oc (Profile.stats_json p);
+      output_char oc '\n'
+    in
+    ignore @@ with_outputs [ output "--output" "stats" path write ]
+    @@ fun () ->
     let p =
       with_pool jobs (fun pool ->
           Profile.run ~par:(Pool.run pool) ~benchmark:structure spec)
@@ -594,18 +660,7 @@ let stats_cmd =
             (if r.Profile.static then "static " else "dynamic")
             r.Profile.checks)
       p.Profile.sites;
-    match output with
-    | Some path -> (
-        match open_out path with
-        | oc ->
-            Json.to_channel oc (Profile.stats_json p);
-            output_char oc '\n';
-            close_out oc;
-            Fmt.epr "stats written to %s@." path
-        | exception Sys_error msg ->
-            Fmt.epr "--output: %s@." msg;
-            exit 1)
-    | None -> ()
+    p
   in
   Cmd.v
     (Cmd.info "stats"
@@ -613,34 +668,20 @@ let stats_cmd =
          "Profile a YCSB run: per-site dynamic checks, POLB/VALB hit rates, \
           cycle attribution.")
     Term.(
-      const run $ structure_arg $ records_arg $ ops_arg $ dist_arg $ output
-      $ jobs_arg)
+      const run
+      $ structure_arg kv_structures_doc
+      $ records_arg ~default:10_000 "Initial records."
+      $ ops_arg ~default:100_000 "Run-phase operations."
+      $ dist_arg $ output_arg $ jobs_arg)
 
 (* --- knn ------------------------------------------------------------------- *)
 
 let knn_cmd =
   let k = Arg.(value & opt int 3 & info [ "k" ] ~doc:"Neighbours to consider.") in
   let run mode k =
-    let rt = Runtime.create ~mode () in
-    let placement =
-      match mode with
-      | Runtime.Volatile -> Knn.all_dram
-      | _ ->
-          let pool = Runtime.create_pool rt ~name:"knn" ~size:(1 lsl 21) in
-          Knn.paper_placement ~pool
-    in
-    let data = Iris.generate () in
-    let t =
-      Knn.create rt placement ~n:Iris.total_samples
-        ~dims:Iris.features_per_sample ~k
-    in
-    Knn.load_input t data.Iris.features;
-    let s0 = Runtime.snapshot rt in
-    Knn.run rt t;
-    let s = Cpu.diff_snapshot (Runtime.snapshot rt) s0 in
+    let acc, s = guarded (fun () -> Knn.case_study ~k mode) in
     Fmt.pr "KNN (k=%d, %s): %d cycles, %d memory accesses, accuracy %.1f%%@."
-      k (Runtime.mode_name mode) s.Cpu.cycles s.Cpu.mem_accesses
-      (100. *. Knn.accuracy t data.Iris.labels)
+      k (Runtime.mode_name mode) s.Cpu.cycles s.Cpu.mem_accesses (100. *. acc)
   in
   Cmd.v
     (Cmd.info "knn" ~doc:"Run the KNN case study on the iris dataset.")
@@ -650,43 +691,31 @@ let knn_cmd =
 
 let soundness_cmd =
   let run jobs =
-    let configs =
-      [ (Runtime.Sw, false); (Runtime.Sw, true); (Runtime.Hw, false);
-        (Runtime.Hw, true) ]
-    in
-    let check (name, program) =
-      let run_in mode persistent =
-        let rt = Runtime.create ~mode () in
-        let heap =
-          if persistent then
-            Runtime.Pool_region
-              (Runtime.create_pool rt ~name:"heap" ~size:(1 lsl 22))
-          else Runtime.Dram_region
-        in
-        (Interp.run rt ~heap program ~args:[]).Interp.output
-      in
-      let reference = run_in Runtime.Volatile false in
-      List.map
-        (fun (mode, persistent) ->
-          (name, mode, persistent, run_in mode persistent = reference))
-        configs
-    in
     let rows =
-      with_pool jobs (fun pool -> List.concat (Pool.map pool check Corpus.all))
+      with_pool jobs (fun pool -> Soundness.run ~par:(Pool.run pool) ())
     in
-    let failures = List.length (List.filter (fun (_, _, _, ok) -> not ok) rows) in
     List.iter
-      (fun (name, mode, persistent, ok) ->
-        Fmt.pr "%-14s %-8s heap=%-4s %s@." name (Runtime.mode_name mode)
-          (if persistent then "NVM" else "DRAM")
-          (if ok then "ok" else "MISMATCH"))
+      (fun (name, checks) ->
+        List.iter
+          (fun ((c : Soundness.config), ok) ->
+            Fmt.pr "%-14s %-8s heap=%-4s %s@." name
+              (Runtime.mode_name c.Soundness.mode
+              ^ if c.Soundness.inference then "+inf" else "")
+              (if c.Soundness.persistent then "NVM" else "DRAM")
+              (if ok then "ok" else "MISMATCH"))
+          checks)
       rows;
-    if failures = 0 then Fmt.pr "all corpus runs sound@."
-    else Fmt.pr "%d mismatches@." failures
+    match Soundness.mismatches rows with
+    | 0 -> Fmt.pr "all corpus runs sound@."
+    | n ->
+        Fmt.pr "%d mismatches@." n;
+        exit 1
   in
   Cmd.v
     (Cmd.info "soundness"
-       ~doc:"Replay the mini-C corpus under every configuration.")
+       ~doc:
+         "Replay the mini-C corpus under every configuration; exits 1 on a \
+          mismatch with the native output.")
     Term.(const run $ jobs_arg)
 
 (* --- inference ------------------------------------------------------------------ *)
@@ -708,40 +737,26 @@ let inference_cmd =
 
 (* --- run / compile mini-C source files ---------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let parse_file path =
-  try Nvml_minic.Parser.parse_program (read_file path) with
+  let source = In_channel.with_open_bin path In_channel.input_all in
+  try Nvml_minic.Parser.parse_program source with
   | Nvml_minic.Lexer.Lex_error (m, l, c) ->
-      Fmt.epr "%s:%d:%d: lexical error: %s@." path l c m;
-      exit 1
+      reject "%s:%d:%d: lexical error: %s" path l c m
   | Nvml_minic.Parser.Parse_error (m, l, c) ->
-      Fmt.epr "%s:%d:%d: syntax error: %s@." path l c m;
-      exit 1
+      reject "%s:%d:%d: syntax error: %s" path l c m
+
+(* A program's own faults: a type error, found before it runs, or a
+   runtime error. *)
+let minic_errors f =
+  try f () with
+  | Nvml_minic.Types.Type_error m -> reject "type error: %s" m
+  | Interp.Runtime_error m -> reject "runtime error: %s" m
 
 let file_arg =
   Arg.(
     required
     & pos 0 (some file) None
     & info [] ~docv:"FILE" ~doc:"A mini-C source file.")
-
-(* Shared across the verification engines (fuzz, faultinject, scrub):
-   they default to fast functional simulation and offer the
-   cycle-accurate core as an opt-out. *)
-let timing_arg =
-  Arg.(
-    value & flag
-    & info [ "timing" ]
-        ~doc:
-          "Run the cycle-accurate core instead of the default fast \
-           functional mode.  Functional results (checks, crash points, \
-           verdicts, reports) are identical either way; only wall-clock \
-           and timing statistics differ.")
 
 let run_cmd =
   let persistent =
@@ -750,104 +765,43 @@ let run_cmd =
       & info [ "persistent"; "p" ]
           ~doc:"Place the heap in a persistent pool (libvmmalloc-style).")
   in
-  let fast_arg =
-    Arg.(
-      value & flag
-      & info [ "fast" ]
-          ~doc:
-            "Fast functional mode: skip cache/TLB/branch/storeP timing \
-             (cycles = instructions).  Program output is identical to \
-             the default cycle-accurate run.")
-  in
   let run path mode persist persistent fast cores =
-    if cores < 1 then begin
-      Fmt.epr "--cores must be >= 1, got %d@." cores;
-      exit 1
-    end;
     let program = parse_file path in
-    let rt = Runtime.create ~timing:(not fast) ~mode ~persist () in
-    let report_errors f =
-      try f () with
-      | Nvml_minic.Types.Type_error m ->
-          Fmt.epr "type error: %s@." m;
-          exit 1
-      | Nvml_minic.Interp.Runtime_error m ->
-          Fmt.epr "runtime error: %s@." m;
-          exit 1
+    let r =
+      minic_errors (fun () ->
+          Interp.run_fresh ~timing:(not fast) ~persist ~cores ~mode ~persistent
+            program)
     in
-    if cores = 1 then begin
-      let heap =
-        if persistent && mode <> Runtime.Volatile then
-          Runtime.Pool_region
-            (Runtime.create_pool rt ~name:"heap" ~size:(1 lsl 22))
-        else Runtime.Dram_region
-      in
-      let s0 = Runtime.snapshot rt in
-      report_errors (fun () ->
-          let outcome = Nvml_minic.Interp.run rt ~heap program ~args:[] in
-          List.iter (Fmt.pr "%Ld@.") outcome.Nvml_minic.Interp.output);
-      (* Mini-C has no operation boundaries, so a relaxed model treats
-         the whole program as one epoch; close it before reporting. *)
-      Runtime.persist_sync rt;
-      let s = Cpu.diff_snapshot (Runtime.snapshot rt) s0 in
-      Fmt.epr "[%s, heap=%s] %d cycles, %d instructions, %d memory accesses@."
-        (Runtime.mode_name mode)
-        (if persistent then "NVM" else "DRAM")
-        s.Cpu.cycles s.Cpu.instrs s.Cpu.mem_accesses
-    end
-    else begin
-      (* One replica of the program per core (each with its own heap, so
-         persistent-allocator metadata stays disjoint), interleaved per
-         µ-event over the shared cache hierarchy. *)
-      let cluster = Cluster.create ~cores rt in
-      let heaps =
-        Array.init cores (fun i ->
-            if persistent && mode <> Runtime.Volatile then
-              Runtime.Pool_region
-                (Runtime.create_pool rt
-                   ~name:(Printf.sprintf "heap%d" i)
-                   ~size:(1 lsl 22))
-            else Runtime.Dram_region)
-      in
-      let outputs = Array.make cores [] in
-      let body core =
-        let outcome =
-          Nvml_minic.Interp.run (Cluster.rt cluster core) ~heap:heaps.(core)
-            program ~args:[]
-        in
-        outputs.(core) <- outcome.Nvml_minic.Interp.output
-      in
-      report_errors (fun () ->
-          Cluster.run cluster (Array.init cores (fun _ -> body)));
-      Runtime.persist_sync rt;
-      Array.iteri
-        (fun i out ->
-          List.iter (fun v -> Fmt.pr "[core %d] %Ld@." i v) out)
-        outputs;
-      Array.iteri
-        (fun i crt ->
-          let s = Runtime.snapshot crt in
-          Fmt.epr
-            "[core %d] [%s, heap=%s] %d cycles, %d instructions, %d memory \
-             accesses@."
-            i
-            (Runtime.mode_name mode)
-            (if persistent then "NVM" else "DRAM")
-            s.Cpu.cycles s.Cpu.instrs s.Cpu.mem_accesses)
-        (Cluster.rts cluster);
-      print_cluster_stats cluster
-    end
+    (* Only a multi-core run tags its lines with the core. *)
+    let core i = if cores > 1 then Printf.sprintf "[core %d] " i else "" in
+    Array.iteri
+      (fun i out -> List.iter (fun v -> Fmt.pr "%s%Ld@." (core i) v) out)
+      r.Interp.outputs;
+    Array.iteri
+      (fun i (s : Cpu.snapshot) ->
+        Fmt.epr
+          "%s[%s, heap=%s] %d cycles, %d instructions, %d memory accesses@."
+          (core i) (Runtime.mode_name mode)
+          (if persistent then "NVM" else "DRAM")
+          s.Cpu.cycles s.Cpu.instrs s.Cpu.mem_accesses)
+      r.Interp.costs;
+    if cores > 1 then print_cluster_stats r.Interp.cluster
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Interpret a mini-C source file on the simulator.")
     Term.(
-      const run $ file_arg $ mode_arg $ persist_arg $ persistent $ fast_arg
+      const run $ file_arg $ mode_arg $ persist_arg $ persistent
+      $ fast_arg
+          "Fast functional mode: skip cache/TLB/branch/storeP timing \
+           (cycles = instructions).  Program output is identical to the \
+           default cycle-accurate run."
       $ cores_arg)
 
 let compile_cmd =
   let run path =
     let program = parse_file path in
-    print_endline (Nvml_comp.Codegen.generated_source program)
+    print_endline
+      (minic_errors (fun () -> Nvml_comp.Codegen.generated_source program))
   in
   Cmd.v
     (Cmd.info "compile"
@@ -869,17 +823,6 @@ let faultinject_cmd =
              $(b,conc) (the durably-linearizable concurrent structures on \
              the --cores multi-core machine; --seed drives the schedule, \
              --ops is per core).")
-  in
-  let records_arg =
-    Arg.(
-      value & opt int 30
-      & info [ "records" ] ~doc:"Initial records (kv workload).")
-  in
-  let ops_arg =
-    Arg.(
-      value & opt int 100
-      & info [ "ops" ]
-          ~doc:"Run-phase operations (per core for conc); at least 1.")
   in
   let every_n_arg =
     Arg.(
@@ -909,14 +852,6 @@ let faultinject_cmd =
              protocol assumes 8-byte atomicity).  Rejected for conc, which \
              has no undo log.")
   in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Seed for the torn byte masks and the conc schedule; sweeps with \
-             the same seed replay bit-identically.")
-  in
   let max_points_arg =
     Arg.(
       value & opt (some int) None
@@ -938,38 +873,28 @@ let faultinject_cmd =
       max_points break_recovery jobs timing cores =
     (* A sweep of no crash point checks nothing; only the library's
        callers may ask for the reference pass alone. *)
-    (match max_points with
-    | Some m when m < 1 ->
-        Fmt.epr "faultinject: --max-points must be >= 1, got %d@." m;
-        exit 1
-    | _ -> ());
+    Option.iter
+      (fun m ->
+        if m < 1 then reject "faultinject: --max-points must be >= 1, got %d" m)
+      max_points;
     let spec =
       { Faultinject.every_n; at; torn; seed; max_points; break_recovery }
     in
+    let run w par = Faultinject.run ~par ~mode ~persist ~spec ~timing w in
     let sweep =
-      let run w par = Faultinject.run ~par ~mode ~persist ~spec ~timing w in
-      match String.lowercase_ascii workload with
+      match one_of "--workload" [ "kv"; "counter"; "conc" ] workload with
       | "conc" ->
           fun par ->
             Faultinject.run_conc ~cores ~ops_per_core:ops ~par ~mode ~persist
               ~spec ~timing ()
       | "counter" -> run (Faultinject.counter_workload ~ops ())
-      | "kv" ->
+      | _ ->
           check_kv_counts ~records ~ops;
+          check_structure Registry.map_names structure;
           run (Faultinject.kv_workload ~structure ~records ~ops ())
-      | other ->
-          Fmt.epr "--workload expects kv, counter or conc, got %S@." other;
-          exit 2
     in
-    (* Sweep-setup misuse (a flag below 1, an out-of-range [--at], a
-       flag the workload cannot honour) surfaces as Invalid_argument;
-       turn it into a clean CLI error. *)
     let report =
-      with_pool jobs (fun pool ->
-          try sweep (Pool.run pool)
-          with Invalid_argument m ->
-            Fmt.epr "%s@." m;
-            exit 1)
+      with_pool jobs (fun pool -> guarded (fun () -> sweep (Pool.run pool)))
     in
     Fmt.pr "%a@." Faultinject.pp_report report;
     if report.Faultinject.violations <> [] then exit 1
@@ -1003,8 +928,15 @@ let faultinject_cmd =
            `P "Exits 1 if any crash point produced a violation.";
          ])
     Term.(
-      const run $ mode_arg $ persist_arg $ workload_arg $ structure_arg
-      $ records_arg $ ops_arg $ every_n_arg $ at_arg $ torn_arg $ seed_arg
+      const run $ mode_arg $ persist_arg $ workload_arg
+      $ structure_arg "Index structure of the kv workload."
+      $ records_arg ~default:30 "Initial records (kv workload)."
+      $ ops_arg ~default:100
+          "Run-phase operations (per core for conc); at least 1."
+      $ every_n_arg $ at_arg $ torn_arg
+      $ seed_arg ~default:1
+          "Seed for the torn byte masks and the conc schedule; sweeps with \
+           the same seed replay bit-identically."
       $ max_points_arg $ break_arg $ jobs_arg $ timing_arg $ cores_arg)
 
 (* --- fuzz ----------------------------------------------------------------------------- *)
@@ -1019,28 +951,6 @@ let fuzz_cmd =
              valb, storep, vatb, freelist, pmop, semantics, zipf, \
              structures (all containers) or structures:$(i,NAME).")
   in
-  let ops_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "ops" ] ~docv:"N"
-          ~doc:
-            "Ops per component run (heavyweight harnesses scale this \
-             down; see DESIGN.md).")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Stream seed. A run is deterministic in (component, seed, \
-             ops), so a reported violation replays bit-identically.")
-  in
-  let seeds_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:"Sweep $(docv) consecutive seeds starting at --seed.")
-  in
   let break_arg =
     Arg.(
       value & flag
@@ -1050,47 +960,21 @@ let fuzz_cmd =
              quirk-capable components and demand the fuzzer finds each \
              one while every other component stays clean.")
   in
-  let stats_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "stats" ] ~docv:"FILE"
-          ~doc:
-            "Record telemetry (fuzz.* counters included) and write the \
-             stats JSON document to $(docv).")
-  in
   let run components ops seed seeds break jobs stats_file timing =
-    let instrumented f =
-      match stats_file with
-      | None -> f ()
-      | Some path ->
-          (* Enable telemetry for the whole run (not per component) so
-             parallel workers all see one stable enabled flag. *)
-          Telemetry.set_enabled true;
-          Telemetry.run_with_sink (Telemetry.fresh_sink ()) (fun () ->
-              let r = f () in
-              (match open_out path with
-              | oc ->
-                  Telemetry.write_stats_json oc;
-                  close_out oc;
-                  Fmt.epr "stats written to %s@." path
-              | exception Sys_error msg ->
-                  Fmt.epr "--stats: %s@." msg;
-                  exit 1);
-              r)
-    in
+    at_least "--ops" 1 ops;
+    (try ignore (Modelcheck.select components : Modelcheck.spec list)
+     with Modelcheck.Unknown_component name ->
+       reject "--component expects %s, got %S"
+         (String.concat "|" (Modelcheck.names ()))
+         name);
+    (* Telemetry is enabled for the whole run (not per component) so
+       parallel workers all see one stable enabled flag. *)
     let reports =
+      with_outputs [ stats_output stats_file ] @@ fun () ->
       with_pool jobs (fun pool ->
-          instrumented @@ fun () ->
           List.init seeds (fun i ->
-              match
-                Modelcheck.run ~pool ~break ~timing ~components ~ops
-                  ~seed:(seed + i) ()
-              with
-              | report -> report
-              | exception Modelcheck.Unknown_component name ->
-                  Fmt.epr "unknown component %S (known: %s)@." name
-                    (String.concat ", " (Modelcheck.names ()));
-                  exit 2))
+              Modelcheck.run ~pool ~break ~timing ~components ~ops
+                ~seed:(seed + i) ()))
     in
     List.iter (Fmt.pr "%a" Modelcheck.pp_report) reports;
     if break then begin
@@ -1139,22 +1023,26 @@ let fuzz_cmd =
            `P "Exits 1 on any violation (or a failed --break self-test).";
          ])
     Term.(
-      const run $ component_arg $ ops_arg $ seed_arg $ seeds_arg $ break_arg
-      $ jobs_arg $ stats_arg $ timing_arg)
+      const run $ component_arg
+      $ ops_arg ~default:256
+          "Ops per component run (heavyweight harnesses scale this down; \
+           see DESIGN.md); at least 1."
+      $ seed_arg ~default:1
+          "Stream seed. A run is deterministic in (component, seed, ops), \
+           so a reported violation replays bit-identically."
+      $ seeds_arg $ break_arg $ jobs_arg
+      $ stats_arg
+          "Record telemetry (fuzz.* counters included) and write the stats \
+           JSON document to $(docv)."
+      $ timing_arg)
 
 (* --- scrub ---------------------------------------------------------------------------- *)
 
 let scrub_cmd =
   let pools_arg =
-    Arg.(value & opt int 3 & info [ "pools" ] ~docv:"N" ~doc:"Pools per cell.")
-  in
-  let records_arg =
-    Arg.(
-      value & opt int 48
-      & info [ "records" ] ~docv:"N"
-          ~doc:
-            "Objects allocated per pool before sealing (a third are freed \
-             again so the free list has interior nodes).")
+    checked "--pools" 1
+    @@ Arg.(
+         value & opt int 3 & info [ "pools" ] ~docv:"N" ~doc:"Pools per cell.")
   in
   let rate_arg =
     Arg.(
@@ -1171,20 +1059,6 @@ let scrub_cmd =
           ~doc:
             "Fault kinds to inject (repeatable): $(b,flip), $(b,poison), \
              $(b,transient). Default: all three.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Cell seed (population and fault placement); a cell replays \
-             bit-identically from (seed, rate, kinds).")
-  in
-  let seeds_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:"Sweep $(docv) consecutive seeds starting at --seed.")
   in
   let repair_arg =
     Arg.(
@@ -1208,29 +1082,15 @@ let scrub_cmd =
       & info [ "allow-loss" ]
           ~doc:"Exit 0 even when unrepairable damage remains (smoke runs).")
   in
-  let stats_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats" ] ~docv:"FILE"
-          ~doc:
-            "Record telemetry (media.* counters included) and write the \
-             stats JSON document to $(docv).")
-  in
   let run pools records rate kinds seed seeds repair report allow_loss jobs
-      stats_file timing =
-    (* The scrub engine drives raw memory with no simulated core, so it
-       is already purely functional; --timing is accepted for CLI
-       uniformity with fuzz/faultinject and changes nothing. *)
-    ignore (timing : bool);
+      stats_file =
+    if rate < 0. then reject "--rate must be >= 0, got %g" rate;
     let kinds =
       List.map
         (fun k ->
-          match Media.kind_of_name k with
-          | Some k -> k
-          | None ->
-              Fmt.epr "--kinds expects flip, poison or transient, got %S@." k;
-              exit 2)
+          Option.get
+            (Media.kind_of_name
+               (one_of "--kinds" (List.map Media.kind_name Media.all_kinds) k)))
         kinds
     in
     let replay_flags =
@@ -1239,26 +1099,9 @@ let scrub_cmd =
            (List.map (fun k -> " --kinds " ^ Media.kind_name k) kinds))
         (if repair then " --repair" else "")
     in
-    let instrumented f =
-      match stats_file with
-      | None -> f ()
-      | Some path ->
-          Telemetry.set_enabled true;
-          Telemetry.run_with_sink (Telemetry.fresh_sink ()) (fun () ->
-              let r = f () in
-              (match open_out path with
-              | oc ->
-                  Telemetry.write_stats_json oc;
-                  close_out oc;
-                  Fmt.epr "stats written to %s@." path
-              | exception Sys_error msg ->
-                  Fmt.epr "--stats: %s@." msg;
-                  exit 1);
-              r)
-    in
     let cells =
+      with_outputs [ stats_output stats_file ] @@ fun () ->
       with_pool jobs (fun pool ->
-          instrumented @@ fun () ->
           Pool.run pool
             (List.init seeds (fun i () ->
                  Mediacheck.run_cell
@@ -1326,7 +1169,8 @@ let scrub_cmd =
               corrupt primary superblock is restored from an intact replica \
               and a corrupt replica is rewritten by re-sealing; pools with \
               unrepairable primary-side damage are left attached read-only \
-              (degraded).";
+              (degraded).  The engine drives raw memory with no simulated \
+              core, so it has no cycle-accurate mode.";
            `P
              "Because fault placement is pure, the cell predicts every \
               finding from the injector's ground truth before the scrub \
@@ -1336,27 +1180,24 @@ let scrub_cmd =
               $(b,--allow-loss) was not given.";
          ])
     Term.(
-      const run $ pools_arg $ records_arg $ rate_arg $ kinds_arg $ seed_arg
+      const run $ pools_arg
+      $ records_arg ~default:48
+          "Objects allocated per pool before sealing (a third are freed \
+           again so the free list has interior nodes)."
+      $ rate_arg $ kinds_arg
+      $ seed_arg ~default:1
+          "Cell seed (population and fault placement); a cell replays \
+           bit-identically from (seed, rate, kinds)."
       $ seeds_arg $ repair_arg $ report_arg $ allow_loss_arg $ jobs_arg
-      $ stats_arg $ timing_arg)
+      $ stats_arg
+          "Record telemetry (media.* counters included) and write the \
+           stats JSON document to $(docv).")
 
 (* --- shell ---------------------------------------------------------------------------- *)
 
 let shell_cmd =
-  let structure =
-    Arg.(
-      value & opt string "RB"
-      & info [ "structure"; "s" ] ~doc:"Index structure backing the store.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Seed for the 'crash torn' byte masks, so scripted sessions \
-             replay bit-identically.")
-  in
   let run mode structure seed =
+    check_structure Registry.map_names structure;
     let shell = Nvml_kvstore.Shell.create ~mode ~structure ~seed () in
     Fmt.pr "persistent KV store (%s on %s) — 'help' for commands, 'quit' to \
             leave@."
@@ -1374,7 +1215,12 @@ let shell_cmd =
   Cmd.v
     (Cmd.info "shell"
        ~doc:"Interactive persistent key-value store with a crash command.")
-    Term.(const run $ mode_arg $ structure $ seed)
+    Term.(
+      const run $ mode_arg
+      $ structure_arg "Index structure backing the store."
+      $ seed_arg ~default:0
+          "Seed for the 'crash torn' byte masks, so scripted sessions \
+           replay bit-identically.")
 
 (* --- info ------------------------------------------------------------------------- *)
 
@@ -1385,7 +1231,7 @@ let info_cmd =
       (fun (k, v) -> Fmt.pr "  %-18s %s@." k v)
       (Config.rows Config.default);
     Fmt.pr "benchmark structures: %s@."
-      (String.concat ", " Nvml_structures.Registry.benchmark_names)
+      (String.concat ", " Registry.benchmark_names)
   in
   Cmd.v
     (Cmd.info "info" ~doc:"Print the simulated machine configuration.")

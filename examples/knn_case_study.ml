@@ -9,39 +9,17 @@
 
 module Cpu = Nvml_arch.Cpu
 module Runtime = Nvml_runtime.Runtime
-module Matrix = Nvml_mlkit.Matrix
-module Iris = Nvml_mlkit.Iris
 module Knn = Nvml_mlkit.Knn
-
-let run mode =
-  let rt = Runtime.create ~mode () in
-  let placement =
-    match mode with
-    | Runtime.Volatile -> Knn.all_dram
-    | _ ->
-        let pool = Runtime.create_pool rt ~name:"knn" ~size:(1 lsl 21) in
-        Knn.paper_placement ~pool
-  in
-  let data = Iris.generate () in
-  let t =
-    Knn.create rt placement ~n:Iris.total_samples
-      ~dims:Iris.features_per_sample ~k:3
-  in
-  Knn.load_input t data.Iris.features;
-  let s0 = Runtime.snapshot rt in
-  Knn.run rt t;
-  let s1 = Runtime.snapshot rt in
-  (Knn.accuracy t data.Iris.labels, Cpu.diff_snapshot s1 s0)
 
 let () =
   Fmt.pr "KNN (k=3) on the synthetic iris dataset (150 samples, 4 features)@.";
   Fmt.pr "distance + neighbour matrices persisted; input stays volatile@.@.";
-  let acc, volatile = run Runtime.Volatile in
+  let acc, volatile = Knn.case_study Runtime.Volatile in
   Fmt.pr "%-10s %12s %10s %10s@." "version" "cycles" "vs native" "accuracy";
   List.iter
     (fun mode ->
       let a, s =
-        if mode = Runtime.Volatile then (acc, volatile) else run mode
+        if mode = Runtime.Volatile then (acc, volatile) else Knn.case_study mode
       in
       Fmt.pr "%-10s %12d %9.2fx %9.1f%%@." (Runtime.mode_name mode)
         s.Cpu.cycles

@@ -113,3 +113,5 @@ let run_benchmark name ~mode ?cfg ?persist (spec : Workload.spec) : result =
   if String.lowercase_ascii name = "ll" then
     run_ll ~mode ?cfg ?persist ~nodes:spec.Workload.record_count ()
   else run_map (Nvml_structures.Registry.find_map name) ~mode ?cfg ?persist spec
+
+let structures = "LL" :: Nvml_structures.Registry.map_names

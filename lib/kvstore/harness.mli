@@ -75,3 +75,6 @@ val run_benchmark :
   Workload.spec ->
   result
 (** Run a Table III benchmark by name ("LL" routes to {!run_ll}). *)
+
+val structures : string list
+(** Every name {!run_benchmark} accepts: LL and the registry's maps. *)

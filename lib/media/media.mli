@@ -36,15 +36,13 @@ type t
 
 val create :
   ?kinds:kind list ->
-  ?region:int * int ->
   rate:float ->
   seed:int ->
   unit ->
   t
 (** [create ~rate ~seed ()] — [rate] is the per-word (per-line for
-    poison) fault probability for each enabled [kind]; [region]
-    restricts injection to an inclusive physical frame range.  Faults
-    are only ever injected into NVM frames, whatever the region. *)
+    poison) fault probability for each enabled [kind].  Faults are
+    only ever injected into NVM frames. *)
 
 val attach : Nvml_simmem.Physmem.t -> t -> unit
 (** Install the injector's read/write hooks into the machine.  The

@@ -25,6 +25,7 @@ module Layout = Nvml_simmem.Layout
 module Mem = Nvml_simmem.Mem
 module Ptr = Nvml_core.Ptr
 module Runtime = Nvml_runtime.Runtime
+module Cluster = Nvml_runtime.Cluster
 module Site = Nvml_runtime.Site
 module Semantics = Nvml_core.Semantics
 
@@ -441,3 +442,35 @@ let run rt ?plan ~heap (program : program) ~(args : int64 list) : outcome =
   in
   ignore main;
   { result; output = List.rev t.output }
+
+(* A run on a fresh machine: one replica of the program per core, each
+   with its own heap (a pool when [persistent] outside the volatile
+   mode, else DRAM), interleaved per µ-event by {!Cluster}.  Mini-C has
+   no operation boundaries, so a relaxed persistency model treats the
+   whole run as one epoch, closed before the costs are read. *)
+type fresh = {
+  outputs : int64 list array;
+  costs : Nvml_arch.Cpu.snapshot array;
+  cluster : Cluster.t;
+}
+
+let run_fresh ?plan ?timing ?persist ?(cores = 1) ~mode ~persistent program =
+  let rt = Runtime.create ?timing ?persist ~mode () in
+  let cluster = Cluster.create ~cores rt in
+  let heaps =
+    Array.init cores (fun i ->
+        if persistent && mode <> Runtime.Volatile then
+          let name = Printf.sprintf "heap%d" i in
+          Runtime.Pool_region (Runtime.create_pool rt ~name ~size:(1 lsl 22))
+        else Runtime.Dram_region)
+  in
+  let rts = Cluster.rts cluster in
+  let s0 = Array.map Runtime.snapshot rts in
+  let outputs = Array.make cores [] in
+  Cluster.run cluster
+    (Array.init cores (fun _ core ->
+         let r = run rts.(core) ?plan ~heap:heaps.(core) program ~args:[] in
+         outputs.(core) <- r.output));
+  Runtime.persist_sync rt;
+  let cost i crt = Nvml_arch.Cpu.diff_snapshot (Runtime.snapshot crt) s0.(i) in
+  { outputs; costs = Array.mapi cost rts; cluster }

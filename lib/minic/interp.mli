@@ -26,3 +26,25 @@ val run :
     expression node id (defaults to all-dynamic).
     @raise Runtime_error on dynamic errors (unbound names, division by
     zero, stack overflow, calls to unknown functions). *)
+
+type fresh = {
+  outputs : int64 list array;  (** per core *)
+  costs : Nvml_arch.Cpu.snapshot array;
+      (** per core, from the start of the run to its final persist sync *)
+  cluster : Nvml_runtime.Cluster.t;
+}
+
+val run_fresh :
+  ?plan:(int -> bool) ->
+  ?timing:bool ->
+  ?persist:Nvml_runtime.Persist.model ->
+  ?cores:int ->
+  mode:Runtime.mode ->
+  persistent:bool ->
+  Ast.program ->
+  fresh
+(** Execute [main] on a fresh machine of [cores] (default 1) cores, one
+    replica per core, each with its own heap: a 4 MiB pool when
+    [persistent] and [mode] is not [Volatile], else DRAM.  One core is
+    a plain call.  A relaxed [persist] model is synced after the run.
+    @raise Runtime_error as {!run}. *)

@@ -60,8 +60,11 @@ type t = {
   k : int;
 }
 
-(* Build the working set for [n] samples of [dims] features. *)
+(* Build the working set for [n] samples of [dims] features; each
+   sample has at most [n - 1] neighbours. *)
 let create rt (placement : placement) ~n ~dims ~k =
+  if k < 1 || k > n - 1 then
+    Fmt.invalid_arg "knn: -k must be in [1, %d], got %d" (n - 1) k;
   {
     input = Matrix.create rt placement.input ~rows:n ~cols:dims;
     internal = Matrix.create rt placement.internal ~rows:n ~cols:n;
@@ -148,3 +151,25 @@ let accuracy t (labels : int array) =
     if winner = labels.(i) then incr correct
   done;
   float_of_int !correct /. float_of_int n
+
+(* The Sec. VII-E case study on a fresh machine: the iris dataset under
+   the paper's placement (all DRAM in the volatile mode), returning the
+   accuracy and the kernel's cost. *)
+let case_study ?(k = 3) mode =
+  let rt = Runtime.create ~mode () in
+  let placement =
+    match mode with
+    | Runtime.Volatile -> all_dram
+    | _ ->
+        paper_placement
+          ~pool:(Runtime.create_pool rt ~name:"knn" ~size:(1 lsl 21))
+  in
+  let data = Iris.generate () in
+  let t =
+    create rt placement ~n:Iris.total_samples ~dims:Iris.features_per_sample ~k
+  in
+  load_input t data.Iris.features;
+  let s0 = Runtime.snapshot rt in
+  run rt t;
+  let cost = Nvml_arch.Cpu.diff_snapshot (Runtime.snapshot rt) s0 in
+  (accuracy t data.Iris.labels, cost)

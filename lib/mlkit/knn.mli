@@ -30,6 +30,8 @@ type t = {
 }
 
 val create : Runtime.t -> placement -> n:int -> dims:int -> k:int -> t
+(** @raise Invalid_argument unless [1 <= k <= n - 1]. *)
+
 val load_input : t -> float array array -> unit
 
 val run : Runtime.t -> t -> unit
@@ -38,3 +40,9 @@ val run : Runtime.t -> t -> unit
 
 val accuracy : t -> int array -> float
 (** Leave-one-out majority-vote accuracy against true labels. *)
+
+val case_study : ?k:int -> Runtime.mode -> float * Nvml_arch.Cpu.snapshot
+(** The Sec. VII-E setup on a fresh machine: the iris dataset, the
+    paper's placement (all DRAM in [Volatile] mode) and [k] (default 3)
+    neighbours.  Returns the accuracy and the cost of {!run} alone.
+    @raise Invalid_argument as {!create}. *)

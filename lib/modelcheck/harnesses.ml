@@ -1195,13 +1195,8 @@ module Semantics_h = struct
 
   let run_in ~mode ~persistent ?plan prog =
     Telemetry.run_with_sink (Telemetry.fresh_sink ()) @@ fun () ->
-    let rt = Runtime.create ~mode () in
-    let heap =
-      if persistent then
-        Runtime.Pool_region (Runtime.create_pool rt ~name:"heap" ~size:(1 lsl 22))
-      else Runtime.Dram_region
-    in
-    let out = (Interp.run rt ?plan ~heap prog ~args:[]).Interp.output in
+    let r = Interp.run_fresh ?plan ~mode ~persistent prog in
+    let out = r.Interp.outputs.(0) in
     let counters = Telemetry.counters_snapshot () in
     let fired_sites =
       List.filter_map

@@ -70,7 +70,6 @@ type t = {
   cpu : Cpu.t;
   mutable pot_table_va : int64; (* software POT, read by SW ra2va *)
   mutable vat_table_va : int64; (* software VAT, read by SW va2ra *)
-  dram_capacity : int;
   (* The "opportunistically kept relative form" of Section IV: when the
      HW version converts a loaded relative pointer to a virtual address,
      the compiler keeps the original relative value live in a register
@@ -96,6 +95,9 @@ type t = {
 
 let reg_rel_capacity = 32
 
+(* The volatile heap's size (128 MiB of simulated DRAM). *)
+let dram_capacity = 1 lsl 27
+
 (* Ambient execution-mode default: engines that spin up many internal
    runtimes (model checking, fault injection) flip this around their
    whole run instead of threading [?timing] through every harness.
@@ -110,7 +112,7 @@ let with_default_timing v f =
   let prev = Atomic.exchange default_timing v in
   Fun.protect ~finally:(fun () -> Atomic.set default_timing prev) f
 
-let create ?(cfg = Config.default) ?(dram_capacity = 1 lsl 27) ?timing
+let create ?(cfg = Config.default) ?timing
     ?(persist = Persist.Eager) ~mode () =
   let timing =
     match timing with Some v -> v | None -> Atomic.get default_timing
@@ -129,7 +131,6 @@ let create ?(cfg = Config.default) ?(dram_capacity = 1 lsl 27) ?timing
     cpu;
     pot_table_va = Mem.map_fresh mem Layout.Dram 65536;
     vat_table_va = Mem.map_fresh mem Layout.Dram 65536;
-    dram_capacity;
     reg_rel = Hashtbl.create 64;
     reg_rel_fifo = Queue.create ();
     store_interceptor = None;
@@ -254,7 +255,7 @@ let crash_and_restart t =
     (Pmop.pool_ids t.pm);
   Pmop.crash t.pm;
   Cpu.flush_volatile t.cpu;
-  t.valloc <- Valloc.create t.mem ~capacity:t.dram_capacity;
+  t.valloc <- Valloc.create t.mem ~capacity:dram_capacity;
   t.pot_table_va <- Mem.map_fresh t.mem Layout.Dram 65536;
   t.vat_table_va <- Mem.map_fresh t.mem Layout.Dram 65536;
   Hashtbl.reset t.reg_rel;

@@ -35,7 +35,6 @@ type t
 
 val create :
   ?cfg:Config.t ->
-  ?dram_capacity:int ->
   ?timing:bool ->
   ?persist:Persist.model ->
   mode:mode ->

@@ -18,6 +18,7 @@ val maps : Intf.ordered_map list
 val extended_maps : Intf.ordered_map list
 val all_maps : Intf.ordered_map list
 val map_names : string list
+(** Every name {!find_map} accepts, extended set included. *)
 
 val find_map : string -> Intf.ordered_map
 (** Case-insensitive lookup.  @raise Invalid_argument on unknown names. *)

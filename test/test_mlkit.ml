@@ -52,23 +52,17 @@ let test_iris_deterministic () =
   let a = Iris.generate () and b = Iris.generate () in
   check_bool "same seed, same data" true (a.Iris.features = b.Iris.features)
 
-let run_knn mode =
-  let rt, pool = make mode in
-  let placement =
-    match mode with
-    | Runtime.Volatile -> Knn.all_dram
-    | _ -> Knn.paper_placement ~pool
-  in
-  let data = Iris.generate () in
-  let t =
-    Knn.create rt placement ~n:Iris.total_samples
-      ~dims:Iris.features_per_sample ~k:3
-  in
-  Knn.load_input t data.Iris.features;
-  let before = Runtime.snapshot rt in
-  Knn.run rt t;
-  let after = Runtime.snapshot rt in
-  (Knn.accuracy t data.Iris.labels, Cpu.diff_snapshot after before)
+let run_knn mode = Knn.case_study mode
+
+let test_knn_rejects_bad_k () =
+  List.iter
+    (fun k ->
+      Alcotest.check_raises (Fmt.str "k = %d" k)
+        (Invalid_argument
+           (Fmt.str "knn: -k must be in [1, %d], got %d"
+              (Iris.total_samples - 1) k))
+        (fun () -> ignore (Knn.case_study ~k Runtime.Hw)))
+    [ 0; -1; Iris.total_samples ]
 
 let test_knn_accuracy () =
   (* Separated synthetic clusters: leave-one-out 3-NN should be easy. *)
@@ -146,5 +140,6 @@ let () =
           Alcotest.test_case "SW slowdown substantial" `Slow
             test_knn_sw_slowdown_substantial;
           Alcotest.test_case "16 placements" `Slow test_all_16_placements_work;
+          Alcotest.test_case "rejects bad k" `Quick test_knn_rejects_bad_k;
         ] );
     ]
